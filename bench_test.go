@@ -801,133 +801,56 @@ func BenchmarkStreamingCheckpoint(b *testing.B) {
 	})
 }
 
-// BenchmarkPageDeltaCheckpoint measures what sub-rank page deltas save on a
-// low-churn workload whose hot shards span many 64 KiB pages: the same
-// periodic straggler run is committed once with whole-shard incremental
-// reuse and once with page deltas on, both UNPADDED so FreshBytes are the
-// real compressed bytes that traveled to storage. Steady-state captures
-// (everything after the first, which has no parent to diff against) must
-// write at least 50% fewer fresh bytes with deltas ("fresh-shrink-x"), every
-// sealed epoch of the delta chain must restart digest-identical to the
-// uninterrupted run, and the streaming encoder's peak must stay within the
-// budget.
-func BenchmarkPageDeltaCheckpoint(b *testing.B) {
-	const (
-		ranks  = 8
-		budget = int64(8) << 20
-	)
-	scfg := apps.StragglerConfig{
-		HotRanks: 2, ColdSteps: 2, HotIters: 24,
-		// Cold ranks freeze one page of state; hot ranks carry 512 KiB (8
-		// pages) and dirty only the page or two their churn window crosses
-		// between captures — the shape page deltas exist for.
-		StateElems: 8 << 10, HotStateElems: 64 << 10,
-	}
-	factory := func(rank int) rt.App { return apps.NewStraggler(scfg, rank) }
-
-	run := func(b *testing.B, delta bool) (store *ckpt.MemStore, rep *rt.Report) {
-		store = ckpt.NewMemStore()
-		cfg := rt.Config{
-			Ranks: ranks, PPN: 4, Params: netmodel.PerlmutterLike(), Algorithm: rt.AlgoCC,
-			Checkpoint: &rt.CkptPlan{
-				AtStep: 4, Every: 1e-6, Mode: ckpt.ContinueAfterCapture,
-				Store: store, Async: true, Incremental: true, Delta: delta,
-				StreamBudgetBytes: budget,
-			},
-		}
-		rep, err := rt.Run(cfg, factory)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rep.CheckpointHistory) < 4 {
-			b.Fatalf("only %d chained captures (want >= 4 for a steady state)", len(rep.CheckpointHistory))
-		}
-		return store, rep
-	}
-	// steady sums the fresh bytes of every capture AFTER the first: epoch 0
-	// is all-full in both modes and would dilute the comparison.
-	steady := func(rep *rt.Report) (fresh int64, deltaShards int) {
-		for _, st := range rep.CheckpointHistory[1:] {
-			fresh += st.FreshBytes
-			deltaShards += st.DeltaShards
-			if st.PeakEncodeBytes > budget {
-				b.Fatalf("peak encode %d bytes exceeds the %d budget", st.PeakEncodeBytes, budget)
-			}
-		}
-		return fresh, deltaShards
-	}
-
-	var golden string
-	if rep, err := rt.Run(rt.Config{Ranks: ranks, PPN: 4, Params: netmodel.PerlmutterLike(), Algorithm: rt.AlgoCC}, factory); err != nil {
-		b.Fatal(err)
-	} else if golden = rep.StateDigest; golden == "" {
-		b.Fatal("golden run produced no digest")
-	}
-
-	var shrink float64
-	for i := 0; i < b.N; i++ {
-		_, wholeRep := run(b, false)
-		deltaStore, deltaRep := run(b, true)
-		wholeFresh, _ := steady(wholeRep)
-		deltaFresh, deltaShards := steady(deltaRep)
-		if deltaShards == 0 {
-			b.Fatal("delta chain stored no page-delta shards")
-		}
-		if deltaFresh*2 > wholeFresh {
-			b.Fatalf("page deltas wrote %d steady-state fresh bytes, want <= half of whole-shard %d",
-				deltaFresh, wholeFresh)
-		}
-		shrink = float64(wholeFresh) / float64(deltaFresh)
-
-		// Digest-identical restart from EVERY sealed epoch of the delta chain.
-		epochs, err := deltaStore.Epochs()
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, e := range epochs {
-			rrep, err := rt.RestartFromStore(
-				rt.Config{Ranks: ranks, PPN: 4, Params: netmodel.PerlmutterLike(), Algorithm: rt.AlgoCC},
-				deltaStore, e, factory)
-			if err != nil {
-				b.Fatalf("restart from delta epoch %d: %v", e, err)
-			}
-			if rrep.StateDigest != golden {
-				b.Fatalf("restart from delta epoch %d diverged: %.12s != golden %.12s", e, rrep.StateDigest, golden)
-			}
-		}
-	}
-	b.ReportMetric(shrink, "fresh-shrink-x")
-}
-
-// BenchmarkCDCCheckpoint measures what content-defined chunks save where
-// page deltas structurally cannot: the insertion-shifted straggler (the
-// conformance suite's CDCStragglerConfig shape — hot ranks splice one
-// element into the interior of a multi-megabyte state every iteration, so
-// every byte after the edit shifts between captures). Page deltas see
-// almost every page changed and re-anchor to full shards; content
-// boundaries realign after the edit, so the CDC chain stores only the
-// chunks the splice actually dirtied. The gate is the acceptance bar:
-// steady-state CDC fresh bytes must be at least 3x under the page-delta
-// chain's ("fresh-shrink-x"), every sealed CDC epoch must restart
+// BenchmarkCDCCheckpoint measures what content-defined chunks save over
+// whole-shard incremental reuse on two straggler shapes, each committed once
+// with whole-shard reuse and once with CDC, both UNPADDED so FreshBytes are
+// the real compressed bytes that traveled to storage:
+//   - in-place: hot shards span several chunks and each capture period
+//     rewrites only the chunk or two its churn window crossed;
+//   - insertion: the conformance suite's CDCStragglerConfig shape — hot
+//     ranks splice one element into the interior of a multi-megabyte state
+//     every iteration, so every byte after the edit shifts between
+//     captures, while content boundaries realign after the edit.
+//
+// Steady-state captures (everything after the first, which has no parent to
+// diff against) must write at least minShrink times fewer fresh bytes with
+// CDC ("fresh-shrink-x"), every sealed CDC epoch must restart
 // digest-identical to the uninterrupted run, and the streaming encoder's
 // per-capture peak must stay within the budget.
 func BenchmarkCDCCheckpoint(b *testing.B) {
-	const (
-		ranks  = 4
-		budget = int64(8) << 20
-	)
-	scfg := conformance.CDCStragglerConfig(ranks)
-	factory := func(rank int) rt.App { return apps.NewStraggler(scfg, rank) }
+	const budget = int64(8) << 20
+	for _, wl := range []struct {
+		name      string
+		ranks     int
+		scfg      apps.StragglerConfig
+		minShrink int64
+	}{
+		{"in-place", 8, apps.StragglerConfig{
+			HotRanks: 2, ColdSteps: 2, HotIters: 24,
+			// Cold ranks freeze 64 KiB of state; hot ranks carry 512 KiB
+			// and dirty only the chunk or two their churn window crosses
+			// between captures.
+			StateElems: 8 << 10, HotStateElems: 64 << 10,
+		}, 2},
+		{"insertion", 4, conformance.CDCStragglerConfig(4), 3},
+	} {
+		b.Run(wl.name, func(b *testing.B) {
+			benchCDCShape(b, wl.ranks, wl.scfg, wl.minShrink, budget)
+		})
+	}
+}
 
-	run := func(b *testing.B, delta, cdc bool) (*ckpt.MemStore, *rt.Report) {
+func benchCDCShape(b *testing.B, ranks int, scfg apps.StragglerConfig, minShrink, budget int64) {
+	factory := func(rank int) rt.App { return apps.NewStraggler(scfg, rank) }
+	base := rt.Config{Ranks: ranks, PPN: 4, Params: netmodel.PerlmutterLike(), Algorithm: rt.AlgoCC}
+
+	run := func(cdc bool) (*ckpt.MemStore, *rt.Report) {
 		store := ckpt.NewMemStore()
-		cfg := rt.Config{
-			Ranks: ranks, PPN: 4, Params: netmodel.PerlmutterLike(), Algorithm: rt.AlgoCC,
-			Checkpoint: &rt.CkptPlan{
-				AtStep: 4, Every: 1e-6, Mode: ckpt.ContinueAfterCapture,
-				Store: store, Async: true, Incremental: true, Delta: delta, CDC: cdc,
-				StreamBudgetBytes: budget,
-			},
+		cfg := base
+		cfg.Checkpoint = &rt.CkptPlan{
+			AtStep: 4, Every: 1e-6, Mode: ckpt.ContinueAfterCapture,
+			Store: store, Async: true, Incremental: true, CDC: cdc,
+			StreamBudgetBytes: budget,
 		}
 		rep, err := rt.Run(cfg, factory)
 		if err != nil {
@@ -938,21 +861,22 @@ func BenchmarkCDCCheckpoint(b *testing.B) {
 		}
 		return store, rep
 	}
-	// steady sums fresh bytes and diffed-shard counts after the first
-	// capture (epoch 0 is all-full in both modes).
-	steady := func(rep *rt.Report) (fresh int64, diffed int) {
+	// steady sums fresh bytes and chunk-object counts after the first
+	// capture (epoch 0 is all-full in both modes and would dilute the
+	// comparison).
+	steady := func(rep *rt.Report) (fresh int64, cdcShards int) {
 		for _, st := range rep.CheckpointHistory[1:] {
 			fresh += st.FreshBytes
-			diffed += st.DeltaShards + st.CDCShards
+			cdcShards += st.CDCShards
 			if st.PeakEncodeBytes > budget {
 				b.Fatalf("peak encode %d bytes exceeds the %d budget", st.PeakEncodeBytes, budget)
 			}
 		}
-		return fresh, diffed
+		return fresh, cdcShards
 	}
 
 	var golden string
-	if rep, err := rt.Run(rt.Config{Ranks: ranks, PPN: 4, Params: netmodel.PerlmutterLike(), Algorithm: rt.AlgoCC}, factory); err != nil {
+	if rep, err := rt.Run(base, factory); err != nil {
 		b.Fatal(err)
 	} else if golden = rep.StateDigest; golden == "" {
 		b.Fatal("golden run produced no digest")
@@ -960,21 +884,21 @@ func BenchmarkCDCCheckpoint(b *testing.B) {
 
 	var shrink float64
 	for i := 0; i < b.N; i++ {
-		_, deltaRep := run(b, true, false)
-		cdcStore, cdcRep := run(b, false, true)
-		deltaFresh, deltaShards := steady(deltaRep)
+		_, wholeRep := run(false)
+		cdcStore, cdcRep := run(true)
+		wholeFresh, _ := steady(wholeRep)
 		cdcFresh, cdcShards := steady(cdcRep)
-		if deltaShards == 0 && deltaFresh == 0 {
-			b.Fatal("page-delta chain stored nothing to compare against")
+		if wholeFresh == 0 {
+			b.Fatal("whole-shard chain stored nothing to compare against")
 		}
 		if cdcShards == 0 {
 			b.Fatal("cdc chain stored no chunk-object shards")
 		}
-		if cdcFresh*3 > deltaFresh {
-			b.Fatalf("cdc wrote %d steady-state fresh bytes, want <= a third of page-delta's %d under the insertion shift",
-				cdcFresh, deltaFresh)
+		if cdcFresh*minShrink > wholeFresh {
+			b.Fatalf("cdc wrote %d steady-state fresh bytes, want <= 1/%d of whole-shard's %d",
+				cdcFresh, minShrink, wholeFresh)
 		}
-		shrink = float64(deltaFresh) / float64(cdcFresh)
+		shrink = float64(wholeFresh) / float64(cdcFresh)
 
 		// Digest-identical restart from EVERY sealed epoch of the CDC chain.
 		epochs, err := cdcStore.Epochs()
@@ -982,9 +906,7 @@ func BenchmarkCDCCheckpoint(b *testing.B) {
 			b.Fatal(err)
 		}
 		for _, e := range epochs {
-			rrep, err := rt.RestartFromStore(
-				rt.Config{Ranks: ranks, PPN: 4, Params: netmodel.PerlmutterLike(), Algorithm: rt.AlgoCC},
-				cdcStore, e, factory)
+			rrep, err := rt.RestartFromStore(base, cdcStore, e, factory)
 			if err != nil {
 				b.Fatalf("restart from cdc epoch %d: %v", e, err)
 			}

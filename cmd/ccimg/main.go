@@ -220,15 +220,9 @@ type shardJSON struct {
 	ClockVT  float64 `json:"clock_vt,omitempty"`
 	RawSum   string  `json:"raw_sum,omitempty"`
 
-	// Page-delta fields (v4 stores). RawFormat distinguishes gob (0),
-	// chunked (1), and page-delta (2) stored objects; delta entries name the
-	// full base shard they patch and the dirty pages they carry.
-	RawFormat    int   `json:"raw_format,omitempty"`
-	PageSize     int64 `json:"page_size,omitempty"`
-	Pages        int   `json:"pages,omitempty"` // page-table length
-	BaseEpoch    *int  `json:"base_epoch,omitempty"`
-	DirtyPages   int   `json:"dirty_pages,omitempty"`
-	DeltaRawSize int64 `json:"delta_raw_size,omitempty"`
+	// RawFormat distinguishes gob (0), chunked (1), and content-defined
+	// chunk (3) stored objects.
+	RawFormat int `json:"raw_format,omitempty"`
 }
 
 type epochJSON struct {
@@ -244,8 +238,6 @@ type epochJSON struct {
 	ReusedShards       int         `json:"reused_shards"`
 	FreshBytes         int64       `json:"fresh_bytes"`
 	ReusedBytes        int64       `json:"reused_bytes"`
-	DeltaShards        int         `json:"delta_shards,omitempty"` // fresh shards stored as page deltas
-	DeltaBytes         int64       `json:"delta_bytes,omitempty"`  // their compressed bytes (subset of fresh)
 	Shards             []shardJSON `json:"shards"`
 }
 
@@ -335,22 +327,11 @@ func storeInfoJSON(store *ckpt.FileStore, path string) error {
 				RefEpoch: &ref, ClockVT: si.ClockVT,
 				RawSum:    fmt.Sprintf("%016x", si.RawSum),
 				RawFormat: si.RawFormat,
-				PageSize:  si.PageSize, Pages: len(si.PageSums),
-			}
-			if si.RawFormat == ckpt.RawFormatPageDelta {
-				base := si.BaseEpoch
-				sj.BaseEpoch = &base
-				sj.DirtyPages = len(si.DeltaPages)
-				sj.DeltaRawSize = si.DeltaRawSize
 			}
 			ej.Shards = append(ej.Shards, sj)
 			if si.RefEpoch == man.Epoch {
 				ej.FreshShards++
 				ej.FreshBytes += si.Size
-				if si.RawFormat == ckpt.RawFormatPageDelta {
-					ej.DeltaShards++
-					ej.DeltaBytes += si.Size
-				}
 			} else {
 				ej.ReusedShards++
 				ej.ReusedBytes += si.Size
@@ -371,23 +352,19 @@ func storeInfo(store *ckpt.FileStore, path string, verbose bool) error {
 	if len(epochs) == 0 {
 		return nil
 	}
-	fmt.Printf("%-7s %-7s %-6s %10s %7s %7s %7s %12s %12s %12s\n",
-		"EPOCH", "PARENT", "RANKS", "CAPTURE-VT", "FRESH", "DELTA", "REUSED", "FRESH-B", "DELTA-B", "REUSED-B")
+	fmt.Printf("%-7s %-7s %-6s %10s %7s %7s %12s %12s\n",
+		"EPOCH", "PARENT", "RANKS", "CAPTURE-VT", "FRESH", "REUSED", "FRESH-B", "REUSED-B")
 	for _, e := range epochs {
 		man, err := store.GetManifest(e)
 		if err != nil {
 			return err
 		}
-		fresh, delta, reused := 0, 0, 0
-		var freshB, deltaB, reusedB int64
+		fresh, reused := 0, 0
+		var freshB, reusedB int64
 		for _, si := range man.Shards {
 			if si.RefEpoch == man.Epoch {
 				fresh++
 				freshB += si.Size
-				if si.RawFormat == ckpt.RawFormatPageDelta {
-					delta++
-					deltaB += si.Size
-				}
 			} else {
 				reused++
 				reusedB += si.Size
@@ -397,15 +374,11 @@ func storeInfo(store *ckpt.FileStore, path string, verbose bool) error {
 		if man.Parent >= 0 {
 			parent = fmt.Sprint(man.Parent)
 		}
-		fmt.Printf("%-7d %-7s %-6d %9.4fs %7d %7d %7d %12d %12d %12d\n",
-			man.Epoch, parent, man.Ranks, man.CaptureVT, fresh, delta, reused, freshB, deltaB, reusedB)
+		fmt.Printf("%-7d %-7s %-6d %9.4fs %7d %7d %12d %12d\n",
+			man.Epoch, parent, man.Ranks, man.CaptureVT, fresh, reused, freshB, reusedB)
 		if verbose {
 			for _, si := range man.Shards {
 				loc := "fresh"
-				if si.RawFormat == ckpt.RawFormatPageDelta {
-					loc = fmt.Sprintf("delta vs epoch %d (%d/%d pages)",
-						si.BaseEpoch, len(si.DeltaPages), len(si.PageSums))
-				}
 				if si.RefEpoch != man.Epoch {
 					loc = fmt.Sprintf("ref epoch %d", si.RefEpoch)
 				}

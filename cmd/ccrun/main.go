@@ -52,8 +52,7 @@ func main() {
 		async    = flag.Bool("async", false, "staged pipeline: resume the job while shards encode and commit")
 		tier     = flag.String("tier", "pfs", "storage tier checkpoints are charged to: pfs or burst")
 		incr     = flag.Bool("incremental", false, "reuse unchanged shards from the previous epoch (implies a store)")
-		delta    = flag.Bool("delta", false, "store partially-changed shards as page deltas against the chain's base epoch (implies a store; best with -incremental)")
-		cdc      = flag.Bool("cdc", false, "store changed shards as content-defined chunk objects reusing the chain's chunks (implies a store; best with -incremental; excludes -delta)")
+		cdc      = flag.Bool("cdc", false, "store changed shards as content-defined chunk objects reusing the chain's chunks (implies a store and -incremental)")
 		codec    = flag.String("codec", "", "stored-object codec: flate or none (empty = the tier's hint)")
 		budgetMB = flag.Int("stream-budget", 0, "in-flight streaming-encode budget in MiB for store commits (0 = default)")
 		keep     = flag.Int("keep", 0, "garbage-collect the store after each seal, retaining this many epochs (0 = keep everything)")
@@ -80,17 +79,12 @@ func main() {
 		Params:    mana.PerlmutterLike(),
 		Algorithm: *algo,
 	}
-	if *ckptAt <= 0 && (*storeDir != "" || *async || *incr || *delta || *cdc || *codec != "" || *every > 0 || *tier != "pfs" || *budgetMB != 0 || *keep != 0 || *compact != 0 || *drainPol != "") {
+	if *ckptAt <= 0 && (*storeDir != "" || *async || *incr || *cdc || *codec != "" || *every > 0 || *tier != "pfs" || *budgetMB != 0 || *keep != 0 || *compact != 0 || *drainPol != "") {
 		// These flags only shape a checkpoint plan; without a first trigger
 		// they would be silently discarded and the run would complete with
 		// zero captures — surfaced only when a later restart finds an empty
 		// store.
-		fail(fmt.Errorf("-store/-async/-incremental/-delta/-cdc/-codec/-every/-tier/-stream-budget/-keep/-compact-every/-drain-policy require -ckpt-at to schedule the first checkpoint"))
-	}
-	if *delta && *cdc {
-		// Both knobs decide how a changed shard's fresh bytes are stored;
-		// a commit picks exactly one diff strategy.
-		fail(fmt.Errorf("-delta and -cdc are mutually exclusive (pick one diff strategy)"))
+		fail(fmt.Errorf("-store/-async/-incremental/-cdc/-codec/-every/-tier/-stream-budget/-keep/-compact-every/-drain-policy require -ckpt-at to schedule the first checkpoint"))
 	}
 	switch *codec {
 	case "", "flate", "none":
@@ -133,7 +127,7 @@ func main() {
 		}
 		cfg.Checkpoint = &mana.CkptPlan{
 			AtVT: *ckptAt, Every: *every, Mode: mode,
-			Async: *async, Incremental: *incr, Delta: *delta, CDC: *cdc,
+			Async: *async, Incremental: *incr, CDC: *cdc,
 			Codec: *codec, Tier: storageTier,
 			StreamBudgetBytes: int64(*budgetMB) << 20,
 			KeepEpochs:        *keep,
@@ -233,9 +227,6 @@ func main() {
 		if st.Epoch >= 0 {
 			fmt.Printf(", epoch %d: %d fresh / %d reused shards, peak encode %.1f MiB",
 				st.Epoch, st.FreshShards, st.ReusedShards, float64(st.PeakEncodeBytes)/(1<<20))
-			if st.DeltaShards > 0 {
-				fmt.Printf(" (%d fresh as page deltas, %d bytes)", st.DeltaShards, st.DeltaBytes)
-			}
 			if st.CDCShards > 0 {
 				fmt.Printf(" (%d fresh as cdc chunk objects, %d bytes)", st.CDCShards, st.CDCBytes)
 			}

@@ -7,7 +7,7 @@
 //
 //	ccverify [-ranks N] [-ppn N] [-scale F] [-workloads a,b] [-algos cc,2pc]
 //	         [-min-triggers N] [-max-triggers N] [-negative] [-crossgeo]
-//	         [-incremental] [-delta] [-cdc] [-lifecycle] [-contention] [-faults] [-v]
+//	         [-incremental] [-cdc] [-lifecycle] [-contention] [-faults] [-v]
 //
 // Beyond the trigger matrix, the default run also verifies (on the first
 // runnable case) that a checkpoint restarts correctly onto a different
@@ -17,10 +17,8 @@
 // the staged asynchronous pipeline's FileStore chains restart digest-
 // identically from every epoch with incremental shard reuse and attributable
 // parent-epoch corruption (-incremental, on the low-churn straggler
-// workload), that page-delta chains store partially-changed shards as dirty
-// pages, shrink the fresh bytes per capture, and reassemble byte-identically
-// through their base epochs (-delta), that content-defined-chunk chains keep
-// reusing chunks under insertion shifts that collapse page deltas and
+// workload), that content-defined-chunk chains store fewer fresh bytes than
+// whole-shard reuse under both in-place churn and insertion shifts and
 // reassemble byte-identically through their chunk sources (-cdc), that chain
 // compaction and epoch garbage collection reclaim
 // storage without changing any surviving restart and attribute dangling
@@ -58,7 +56,6 @@ func main() {
 		negative    = flag.Bool("negative", true, "also verify that corrupted images (snapshot and per-shard) are detected")
 		crossgeo    = flag.Bool("crossgeo", true, "also verify restart onto different ranks-per-node geometries")
 		incremental = flag.Bool("incremental", true, "also verify async incremental FileStore chains (straggler workload)")
-		deltas      = flag.Bool("delta", true, "also verify page-delta chains (page-scale straggler workload)")
 		cdc         = flag.Bool("cdc", true, "also verify content-defined-chunk chains (insertion-shifted straggler workload)")
 		lifecycle   = flag.Bool("lifecycle", true, "also verify GC and chain compaction on a FileStore chain (straggler workload)")
 		contention  = flag.Bool("contention", true, "also verify multi-tenant drain backpressure (queueing and PFS fallback) restarts digest-identically")
@@ -138,25 +135,11 @@ func main() {
 		}
 	}
 
-	// The page-delta sweep runs a page-scale straggler chain with Delta on:
-	// partially-changed shards must be stored as dirty pages, restart
-	// digest-identically through their base epochs, and shrink the fresh
-	// bytes per capture against whole-shard reuse.
-	if *deltas {
-		algo := algoList[0]
-		if rpt, err := conformance.VerifyDeltaChain(algo, opts); err != nil {
-			fmt.Printf("page-delta-chain check (straggler/%s): FAIL: %v\n", algo, err)
-			failed = true
-		} else {
-			fmt.Printf("page-delta-chain check (straggler/%s): %s, ok\n", algo, rpt)
-		}
-	}
-
-	// The CDC sweep runs an insertion-shifted chain with content-defined
-	// chunking on: changed shards must be stored as chunk objects whose
-	// reuse survives the byte shift that collapses page deltas, restart
-	// digest-identically from every sealed epoch (and after compaction), and
-	// attribute damaged chunk sources.
+	// The CDC sweep runs two straggler chains with content-defined chunking
+	// on — page-scale in-place churn and insertion shifts: changed shards
+	// must be stored as chunk objects that shrink the fresh bytes against
+	// whole-shard reuse, restart digest-identically from every sealed epoch
+	// (and after compaction), and attribute damaged chunk sources.
 	if *cdc {
 		algo := algoList[0]
 		if rpt, err := conformance.VerifyCDCChain(algo, opts); err != nil {

@@ -34,7 +34,7 @@ type StragglerConfig struct {
 	// at a deterministic interior position of State every InsertEvery
 	// iterations (instead of only overwriting in place). Every element after
 	// the insertion point shifts by eight bytes in the fixed-width snapshot,
-	// so page-granular deltas see almost every trailing page dirty while
+	// so a fixed page grid would see almost every trailing page dirty while
 	// content-defined chunking realigns one chunk past the edit. The knob
 	// also switches the initial State to a non-periodic xorshift fill —
 	// a periodic pattern would starve the rolling hash of cut candidates —
@@ -173,10 +173,10 @@ func (a *Straggler) Step(env *rt.Env) (bool, error) {
 // Snapshot layout: a fixed-width little-endian encoding, NOT gob. Gob's
 // variable-width integers would shift every later byte when a counter
 // crosses an encoding-width boundary, smearing a one-word change across the
-// whole stream; the fixed layout keeps unchanged state byte-stable at page
-// granularity, which is what makes the straggler the page-delta testbed — a
-// hot rank's capture dirties only the header page and the pages its step
-// loop actually touched, and a frozen cold rank's snapshot is bit-identical
+// whole stream; the fixed layout keeps unchanged state byte-stable, which
+// is what makes the straggler the sub-shard reuse testbed — a hot rank's
+// capture dirties only the header chunk and the chunks its step loop
+// actually touched, and a frozen cold rank's snapshot is bit-identical
 // across epochs.
 //
 // Layout: 5 uint64 header words (Iter, target, Acc bits, len(Sum),

@@ -2,10 +2,10 @@ package ckpt
 
 // Content-defined chunking (raw format 3).
 //
-// Page deltas (raw format 2) are strictly positional: one inserted byte
-// shifts every later page and the CRC diff sees a fully dirty shard. CDC
-// mode instead splits each rank's LOGICAL chunked stream on content-defined
-// boundaries found by a Gear rolling hash — the FastCDC family — so an
+// Whole-shard reuse is all or nothing: one hot byte in a rank re-encodes
+// and re-writes the entire shard, and a fixed page grid would see every
+// page after an insertion as dirty. CDC mode instead splits each rank's
+// LOGICAL chunked stream on content-defined boundaries found by a Gear rolling hash — the FastCDC family — so an
 // insertion or deletion only perturbs boundaries near the edit and every
 // later chunk keeps its content hash. Commit then consults a
 // content-addressed index of every chunk the parent chain already stores
@@ -25,10 +25,10 @@ package ckpt
 // every chunk in one hop, opening each distinct source object once and
 // reading it sequentially.
 //
-// The same dual-identity contract as page deltas applies: RawSum/RawSize
-// always describe the logical stream (the reuse key), Size/Checksum the
-// stored object, and DeltaRawSize/DeltaRawSum the stored stream between the
-// codec and the object (reused field names — the geometry is identical).
+// A CDC entry carries two identities: RawSum/RawSize always describe the
+// logical stream (the reuse key), Size/Checksum the stored object, and
+// DeltaRawSize/DeltaRawSum the stored stream between the codec and the
+// object.
 
 import (
 	"bufio"
@@ -81,6 +81,11 @@ const (
 	fnvOffset64 = 14695981039346656037
 	fnvPrime64  = 1099511628211
 )
+
+// crcTable is the Castagnoli polynomial table behind every chunk CRC-32C
+// (hardware-accelerated in the stdlib, so the per-chunk check costs a
+// fraction of another FNV pass).
+var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 func fnvUpdate(h uint64, p []byte) uint64 {
 	for _, b := range p {
@@ -734,7 +739,7 @@ func (m *cdcMerge) sortedSources() []*cdcSource {
 
 // finish drains the CDC object and completes every source's primary
 // verification pass, then settles the verdict against decErr, the caller's
-// decode result. Verification order mirrors the delta merge: this object's
+// decode result. Verification order: this object's
 // corruption first, then its dependencies', then the decode error, then
 // geometry agreement.
 func (m *cdcMerge) finish(decErr error) error {

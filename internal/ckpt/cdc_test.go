@@ -7,6 +7,7 @@ package ckpt
 
 import (
 	"bytes"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"strings"
@@ -58,6 +59,17 @@ func commitCDC(t *testing.T, store Store, epoch int, parent *Manifest, img *JobI
 		t.Fatal(err)
 	}
 	return man, st
+}
+
+func shardOf(t *testing.T, man *Manifest, rank int) *ShardInfo {
+	t.Helper()
+	for i := range man.Shards {
+		if man.Shards[i].Rank == rank {
+			return &man.Shards[i]
+		}
+	}
+	t.Fatalf("rank %d not in manifest for epoch %d", rank, man.Epoch)
+	return nil
 }
 
 // insertAt returns b with extra spliced in at off (an insertion edit: every
@@ -205,6 +217,81 @@ func TestCDCCommitRoundTrip(t *testing.T) {
 	if faults, err := VerifyStore(fs); err != nil || len(faults) != 0 {
 		t.Fatalf("cdc chain did not verify: faults=%v err=%v", faults, err)
 	}
+
+	// Epoch 2 repeats epoch 1's state: every rank — the CDC one included —
+	// is a reference to the object its parent entry names, never an empty
+	// chunk object.
+	img2 := cdcImage(4, 1)
+	img2.Images[1].App = img1.Images[1].App
+	img2.CaptureVT = 3.5
+	man2, st2 := commitCDC(t, fs, 2, man1, img2)
+	if st2.FreshShards != 0 || st2.ReusedShards != 4 || st2.FreshBytes != 0 || st2.CDCShards != 0 {
+		t.Fatalf("unchanged epoch 2 stats: %+v", st2)
+	}
+	c2 := shardOf(t, man2, 1)
+	if c2.RawFormat != RawFormatCDC || c2.RefEpoch != 1 || c2.Checksum != c1.Checksum ||
+		c2.DeltaRawSize != c1.DeltaRawSize || c2.DeltaRawSum != c1.DeltaRawSum || len(c2.Chunks) != len(c1.Chunks) {
+		t.Fatalf("unchanged cdc rank is not a reference to epoch 1's object: %+v", c2)
+	}
+
+	// Epoch 3 rewrites rank 3 wholesale: with under half its bytes reused,
+	// the differ re-anchors to a self-contained full shard carrying a
+	// self-sourced table — and later epochs dedup against that new anchor.
+	img3 := cdcImage(4, 1)
+	img3.Images[1].App = img1.Images[1].App
+	img3.Images[3].App = noisyBytes(len(img3.Images[3].App), 77)
+	man3, st3 := commitCDC(t, fs, 3, man2, img3)
+	if st3.FreshShards != 1 || st3.CDCShards != 0 {
+		t.Fatalf("heavy churn still stored a cdc object: %+v", st3)
+	}
+	if si := shardOf(t, man3, 3); si.RawFormat != RawFormatChunked || si.RefEpoch != 3 || si.Chunks[0].SrcEpoch != 3 {
+		t.Fatalf("re-anchored shard: %+v", si)
+	}
+	img4 := cdcImage(4, 1)
+	img4.Images[1].App = img1.Images[1].App
+	img4.Images[3].App = insertAt(img3.Images[3].App, 1<<18, noisyBytes(32, 78))
+	man4, st4 := commitCDC(t, fs, 4, man3, img4)
+	if st4.CDCShards != 1 {
+		t.Fatalf("post-re-anchor churn stats: %+v", st4)
+	}
+	for _, c := range shardOf(t, man4, 3).Chunks {
+		if c.SrcEpoch != 3 && c.SrcEpoch != 4 {
+			t.Fatalf("chunk sourced from epoch %d, want the re-anchored 3 or fresh 4", c.SrcEpoch)
+		}
+	}
+	for e, want := range map[int]*JobImage{2: img2, 4: img4} {
+		got, err := LoadJobImage(fs, e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameImages(t, want, got)
+	}
+
+	// A parent sealed without chunk tables (whole-shard hashing, or a chain
+	// resumed from an older store) gives an empty chunk index, so a changed
+	// rank is written as a self-contained full shard — never a CDC object
+	// with nothing to reference.
+	fs = mustFileStore(t)
+	sums, err := HashCapture(img0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flat0, _, err := CommitStreamed(fs, 0, nil, img0, sums, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flat1, stf := commitCDC(t, fs, 1, flat0, img1)
+	if stf.CDCShards != 0 || stf.FreshShards != 1 || stf.ReusedShards != 3 {
+		t.Fatalf("tableless parent produced a cdc object: %+v", stf)
+	}
+	if si := shardOf(t, flat1, 1); si.RawFormat != RawFormatChunked || len(si.Chunks) == 0 {
+		t.Fatalf("fallback shard: %+v", si)
+	}
+	got, err := LoadJobImage(fs, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameImages(t, img1, got)
 }
 
 // TestCDCCrossRankReuse: a rank whose new state duplicates another rank's
@@ -283,6 +370,31 @@ func TestCDCSourceCorruptionAttributed(t *testing.T) {
 	for _, f := range faults {
 		if f.Rank != 1 {
 			t.Fatalf("fault misattributed: %+v (want rank 1)", f)
+		}
+	}
+
+	// A reused chunk whose bytes arrive intact from a sound source but
+	// disagree with the manifest's chunk table is attributed to its chunk
+	// index and source, from the per-chunk CRC at merge time.
+	fs2 := mustFileStore(t)
+	m0, _ := commitCDC(t, fs2, 0, nil, img0)
+	m1, _ := commitCDC(t, fs2, 1, m0, img1)
+	si := shardOf(t, m1, 1)
+	k := len(si.Chunks) - 1
+	if si.Chunks[k].SrcEpoch != 0 {
+		t.Fatalf("last chunk of the edited rank is not reused: %+v", si.Chunks[k])
+	}
+	si.Chunks[k].CRC ^= 1
+	if err := fs2.PutManifest(1, m1); err != nil {
+		t.Fatal(err)
+	}
+	_, lerr = LoadJobImage(fs2, 1)
+	if lerr == nil {
+		t.Fatal("load succeeded over a chunk-table CRC mismatch")
+	}
+	for _, want := range []string{"epoch 1", "rank 1", fmt.Sprintf("chunk %d corrupted (crc", k), "sourced from epoch 0 rank 1"} {
+		if !strings.Contains(lerr.Error(), want) {
+			t.Fatalf("load error %q does not attribute %q", lerr, want)
 		}
 	}
 }
@@ -367,7 +479,7 @@ func TestCDCChainGCAndCompaction(t *testing.T) {
 
 // TestCodecNoneRoundTrip: the none codec stores shards uncompressed (stored
 // identity equals the raw identity), records CodecNone per shard, decodes a
-// mixed-codec delta chain, and still detects corruption.
+// mixed-codec CDC chain, and still detects corruption.
 func TestCodecNoneRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	inner, err := NewFileStore(dir)
@@ -411,7 +523,7 @@ func TestCodecNoneRoundTrip(t *testing.T) {
 	}
 	sameImages(t, img1, got1)
 
-	// Mixed-codec chain: a flate epoch whose delta decodes against the
+	// Mixed-codec chain: a flate epoch whose CDC object decodes against the
 	// none-codec chain is resolved per shard from the manifest, not from
 	// the store's current knob.
 	ms.Codec = "flate"

@@ -1,7 +1,7 @@
 package ckpt
 
 // Codec-pluggable encode path. Every stored shard object (full chunked
-// shards, page deltas, CDC chunk objects) passes through exactly one codec
+// shards, CDC chunk objects) passes through exactly one codec
 // between the raw stream and the store writer. Historically that codec was
 // hard-wired to compress/flate at a tier-hinted level; the Codec interface
 // makes the stage explicit so a bandwidth-rich tier can select the `none`

@@ -35,7 +35,7 @@ type RankHooks struct {
 	// AppSnapshotTo, when non-nil, is preferred over AppSnapshot: it streams
 	// the same bytes into a writer, letting the capture path fill its buffer
 	// without the double allocation of build-then-copy. The two MUST produce
-	// identical bytes — shard identity (and page-delta diffing) hashes them.
+	// identical bytes — shard identity (and CDC chunking) hashes them.
 	AppSnapshotTo func(w io.Writer) error
 	// ProtoSnapshot serializes the protocol state (via Protocol.Snapshot).
 	ProtoSnapshot func() ([]byte, error)
@@ -118,12 +118,6 @@ type CheckpointStats struct {
 	ReusedShards int
 	FreshBytes   int64
 	ReusedBytes  int64
-
-	// Page-delta accounting (Delta mode): how many of the fresh shards were
-	// stored as page deltas against an earlier full shard, and their
-	// compressed bytes (a subset of FreshShards/FreshBytes).
-	DeltaShards int
-	DeltaBytes  int64
 
 	// Content-defined-chunk accounting (CDC mode): how many of the fresh
 	// shards were stored as MANASHD3 chunk objects holding only
@@ -208,24 +202,13 @@ type Coordinator struct {
 	// Requires a store (SetStore).
 	Incremental bool
 
-	// Delta enables sub-rank page deltas on top of Incremental: capture
-	// hashing also computes a per-page CRC table (HashCapturePaged), and a
-	// rank whose shard differs from the parent epoch in only a few pages is
-	// stored as a RawFormatPageDelta object holding just the dirty pages,
-	// diffed against the chain's full base shard. Implies page tables in the
-	// manifest (ManifestV4); requires a store, and does nothing useful
-	// without Incremental (every shard hashes fresh with no parent to diff
-	// against).
-	Delta bool
-
-	// CDC enables content-defined chunking on top of Incremental: capture
-	// hashing also splits each rank's logical stream on Gear rolling-hash
-	// content boundaries (HashCaptureCDC), and a rank whose shard shares
-	// chunks with the parent chain — across arbitrary insertions, deletions,
-	// and even other ranks — is stored as a RawFormatCDC object holding just
-	// the content-new chunks. Implies chunk tables in the manifest
-	// (ManifestV5); requires a store; mutually exclusive with Delta (the two
-	// diff strategies address the same fresh-byte budget).
+	// CDC enables content-defined chunking, and with it Incremental's
+	// whole-shard reuse: capture hashing also splits each rank's logical
+	// stream on Gear rolling-hash content boundaries (HashCaptureCDC), and a
+	// rank whose shard shares chunks with the parent chain — across
+	// arbitrary insertions, deletions, and even other ranks — is stored as a
+	// RawFormatCDC object holding just the content-new chunks. Implies chunk
+	// tables in the manifest (ManifestV5); requires a store.
 	CDC bool
 
 	// Codec overrides the stored-object codec for every shard this
@@ -780,15 +763,11 @@ func (c *Coordinator) commitEpoch(epoch int, img *JobImage) commitResult {
 	t0 := time.Now()
 	var sums *ShardSums
 	var encErr error
-	switch {
-	case c.CDC:
+	if c.CDC {
 		// CDC mode also builds the content-defined chunk table the
 		// commit-time chunk index consumes.
 		sums, encErr = HashCaptureCDC(img)
-	case c.Delta:
-		// Delta mode also builds the per-page CRC table the differ needs.
-		sums, encErr = HashCapturePaged(img, ShardPageBytes)
-	default:
+	} else {
 		sums, encErr = HashCapture(img)
 	}
 
@@ -810,8 +789,10 @@ func (c *Coordinator) commitEpoch(epoch int, img *JobImage) commitResult {
 		return commitResult{epoch: epoch, compacted: -1, hostSeconds: time.Since(t0).Seconds(), err: encErr}
 	}
 
+	// CDC implies Incremental: chunk reuse needs the parent's tables, and
+	// without a parent every chunk would hash fresh.
 	var parent *Manifest
-	if c.Incremental {
+	if c.Incremental || c.CDC {
 		parent = c.lastMan
 	}
 	// The ModelStore's metering knobs are per-commit; commits are serialized
@@ -968,8 +949,6 @@ func (c *Coordinator) applyCommitLocked(histIdx int, res commitResult) {
 		e.ReusedShards = res.stats.ReusedShards
 		e.FreshBytes = res.stats.FreshBytes
 		e.ReusedBytes = res.stats.ReusedBytes
-		e.DeltaShards = res.stats.DeltaShards
-		e.DeltaBytes = res.stats.DeltaBytes
 		e.CDCShards = res.stats.CDCShards
 		e.CDCBytes = res.stats.CDCBytes
 	}

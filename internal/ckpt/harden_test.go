@@ -135,6 +135,8 @@ func TestHostileManifestsError(t *testing.T) {
 		// An absurd RawSize must error after bounded work (the decompressed
 		// stream won't match), never preallocate the declared size.
 		"absurd raw size": mutate(func(m *Manifest) { m.Shards[1].RawSize = 1 << 50 }),
+		// Raw format 2 (page deltas) is retired: no reader exists for it.
+		"retired page delta": mutate(func(m *Manifest) { m.Shards[1].RawFormat = RawFormatPageDelta }),
 	}
 	for name, blob := range cases {
 		decodeErrored, verifyDetected := decodeAll(t, blob)
@@ -143,6 +145,65 @@ func TestHostileManifestsError(t *testing.T) {
 				name, decodeErrored, verifyDetected)
 		}
 	}
+}
+
+// TestRetiredPageDeltaStores reads a store the retired page-delta writer
+// sealed (testdata/v4-page-delta-store: three 16 KiB ranks, app byte i of
+// rank r = 7+r+i%251, committed with 1 KiB page tables; epoch 1 stores rank
+// 1 as a raw-format-2 delta against epoch 0). Epoch 0 is a v4 manifest of
+// full shards and must still load — gob drops its page tables — while
+// epoch 1 must fail every store entry point with a diagnostic naming the
+// rank and the re-checkpoint remedy, never a panic.
+func TestRetiredPageDeltaStores(t *testing.T) {
+	fs := &FileStore{Root: "testdata/v4-page-delta-store"}
+	man0, err := fs.GetManifest(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if man0.Version != ManifestV4 {
+		t.Fatalf("fixture epoch 0 is manifest v%d, want v4", man0.Version)
+	}
+	got, err := LoadJobImage(fs, 0)
+	if err != nil {
+		t.Fatalf("v4 manifest of full shards no longer loads: %v", err)
+	}
+	for r, ri := range got.Images {
+		if ri.Rank != r || len(ri.App) != 16<<10+r*64 {
+			t.Fatalf("rank %d restored as rank %d with %d app bytes", r, ri.Rank, len(ri.App))
+		}
+		for i, b := range ri.App {
+			if b != byte(7+r+i%251) {
+				t.Fatalf("rank %d app byte %d = %d, want %d", r, i, b, byte(7+r+i%251))
+			}
+		}
+	}
+
+	wants := []string{"rank 1", "raw format 2", "no longer readable", "re-checkpoint"}
+	check := func(what string, err error) {
+		t.Helper()
+		if err == nil {
+			t.Fatalf("%s accepted a page-delta manifest", what)
+		}
+		for _, w := range wants {
+			if !strings.Contains(err.Error(), w) {
+				t.Fatalf("%s error %q does not say %q", what, err, w)
+			}
+		}
+	}
+	_, err = LoadJobImage(fs, 1)
+	check("LoadJobImage", err)
+	_, err = ExtractRankFromStore(fs, 1, 0)
+	check("ExtractRankFromStore", err)
+	_, err = ResolveReadSet(fs, 1)
+	check("ResolveReadSet", err)
+	faults, err := VerifyStore(fs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(faults) != 1 || faults[0].Epoch != 1 {
+		t.Fatalf("VerifyStore faults %+v, want exactly epoch 1's manifest", faults)
+	}
+	check("VerifyStore", faults[0].Err)
 }
 
 // TestRankNotInManifest: extraction of a rank the manifest does not list

@@ -36,12 +36,10 @@ import (
 	"encoding/gob"
 	"fmt"
 	"hash"
-	"hash/crc32"
 	"hash/fnv"
 	"io"
 	"math"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -90,41 +88,16 @@ type ShardInfo struct {
 	// RawFormat selects the raw shard stream's layout (store shards only):
 	// RawFormatGob for legacy whole-gob shards, RawFormatChunked for the
 	// bounded-memory header+payload layout the streaming writer emits,
-	// RawFormatPageDelta for a page-delta object reconstructed against an
-	// earlier full shard (below), RawFormatCDC for a content-defined-chunk
-	// object reconstructed from its chunk table (cdc.go). Old manifests
-	// decode with the zero value, which is the legacy format.
+	// RawFormatCDC for a content-defined-chunk object reconstructed from its
+	// chunk table (cdc.go). Old manifests decode with the zero value, which is
+	// the legacy format.
 	RawFormat int
 
-	// Page-delta fields (RawFormat == RawFormatPageDelta, plus the page
-	// table on any fresh shard committed with delta mode on). RawSum and
-	// RawSize ALWAYS describe the LOGICAL chunked (RawFormatChunked) stream
-	// — the identity the incremental differ keys on — never the stored
-	// delta object, whose own raw identity is DeltaRawSum/DeltaRawSize and
-	// whose stored compressed identity stays Size/Checksum.
-
-	// PageSize is the fixed page width the logical stream is split into
-	// (the last page may be short). Zero when no page table was recorded.
-	PageSize int64
-	// PageSums holds one CRC-32C (Castagnoli) per page of the logical
-	// stream — the page-granular identity the next epoch diffs against,
-	// and the per-page integrity check restart applies while merging.
-	PageSums []uint32
-	// BaseEpoch is the epoch holding the FULL (RawFormatChunked) shard a
-	// page-delta object reconstructs from. Deltas never chain: the base is
-	// always a full shard, so restart reads exactly two objects.
-	BaseEpoch int
-	// DeltaPages lists the dirty page indices stored in the delta object,
-	// sorted ascending; every other page is byte-identical to the base.
-	DeltaPages []int32
-	// BaseSize is the base object's stored (compressed) size, copied at
-	// commit time so restart read pricing can charge the base fan-in from
-	// this manifest alone.
-	BaseSize int64
-	// DeltaRawSize/DeltaRawSum are the stored delta stream's raw
-	// (pre-compression) length and FNV-1a — what Size/Checksum compress.
-	// CDC objects reuse them for their stored stream (magic + header +
-	// fresh chunk payloads): the geometry is identical.
+	// DeltaRawSize/DeltaRawSum are a RawFormatCDC object's stored stream
+	// (magic + header + fresh chunk payloads): its raw (pre-compression)
+	// length and FNV-1a — what Size/Checksum compress. RawSum and RawSize
+	// ALWAYS describe the LOGICAL chunked stream the differ keys on, never
+	// the stored object.
 	DeltaRawSize int64
 	DeltaRawSum  uint64
 
@@ -155,11 +128,9 @@ const (
 	// header passes through gob, so encode buffering is O(header) and
 	// decode allocates nothing beyond the restored state itself.
 	RawFormatChunked = 1
-	// RawFormatPageDelta: only the DIRTY pages of the logical chunked
-	// stream, against a full base shard in ShardInfo.BaseEpoch — a small
-	// gob header (base epoch, page geometry, dirty page list) followed by
-	// the dirty pages' bytes in index order. Restart merges base and delta
-	// page streams at one-page memory (see FORMAT.md, "Raw format 2").
+	// RawFormatPageDelta is reserved: the retired page-delta object
+	// (MANASHD2). It is no longer written or readable; validate rejects
+	// any manifest entry that declares it (see FORMAT.md, "Raw format 2").
 	RawFormatPageDelta = 2
 	// RawFormatCDC: only the FRESH content-defined chunks of the logical
 	// chunked stream — a small gob header followed by the fresh chunks'
@@ -181,10 +152,9 @@ const (
 	// store objects (RefEpoch, Rank), possibly in earlier epochs, with the
 	// rank clock carried per shard in the manifest itself.
 	ManifestV3 = 3
-	// ManifestV4 is a v3 manifest whose epoch was committed with page
-	// deltas enabled: fresh shards carry page tables and entries may be
-	// RawFormatPageDelta. Purely additive gob evolution over v3 — old
-	// fields mean exactly what they meant.
+	// ManifestV4 was written by the retired page-delta mode. It is no
+	// longer written; a v4 manifest whose entries are all full shards still
+	// loads (gob drops its page tables), one naming a delta entry fails.
 	ManifestV4 = 4
 	// ManifestV5 is a v3 manifest whose epoch was committed with
 	// content-defined chunking enabled: entries carry chunk tables and may
@@ -511,12 +481,6 @@ type ShardSummary struct {
 	Checksum uint64 // FNV-1a over the compressed stream
 	RawSize  int64  // raw gob bytes before compression
 	RawSum   uint64 // FNV-1a over the raw (clockless) gob
-	// PageSums is the CRC-32C page table of the raw stream, present only
-	// when the writer was opened with a page size (delta-mode commits).
-	PageSums []uint32
-	// Chunks is the content-defined chunk table of the raw stream, present
-	// only when the writer was opened with chunking on (CDC-mode commits).
-	Chunks []RawChunk
 }
 
 // ShardWriter streams one rank's shard into a store stream: the rank image
@@ -526,36 +490,24 @@ type ShardSummary struct {
 // Close finalizes the codec stream, closes the store writer, and returns
 // the summary.
 type ShardWriter struct {
-	rank   int
-	dst    io.WriteCloser
-	chunk  *chunkWriter
-	comp   *countWriter
-	cw     io.WriteCloser // codec stage
-	raw    *countWriter
-	pages  *pageSummer
-	chunks *chunkSummer
+	rank  int
+	dst   io.WriteCloser
+	chunk *chunkWriter
+	comp  *countWriter
+	cw    io.WriteCloser // codec stage
+	raw   *countWriter
 }
 
 // NewShardWriter opens a streaming encoder for one rank's shard over a
 // store stream (typically Store.PutShardStream's writer) at the default
 // compression level.
 func NewShardWriter(rank int, dst io.WriteCloser) (*ShardWriter, error) {
-	return NewShardWriterLevel(rank, dst, 0, 0)
-}
-
-// NewShardWriterLevel opens a streaming shard encoder at an explicit flate
-// level (0 = default; see normFlateLevel) and, when pageSize > 0, records a
-// CRC-32C page table over the raw stream as it flows (reported at Close) —
-// the page-granular identity the delta differ compares epochs with.
-func NewShardWriterLevel(rank int, dst io.WriteCloser, level int, pageSize int64) (*ShardWriter, error) {
-	return NewShardWriterCodec(rank, dst, FlateCodec(level), pageSize, false)
+	return NewShardWriterCodec(rank, dst, FlateCodec(0))
 }
 
 // NewShardWriterCodec opens a streaming shard encoder through an explicit
-// codec. pageSize > 0 records the delta differ's page table; withChunks
-// records the CDC chunker's content-defined chunk table over the same raw
-// stream (both reported at Close).
-func NewShardWriterCodec(rank int, dst io.WriteCloser, codec Codec, pageSize int64, withChunks bool) (*ShardWriter, error) {
+// codec.
+func NewShardWriterCodec(rank int, dst io.WriteCloser, codec Codec) (*ShardWriter, error) {
 	w := &ShardWriter{rank: rank, dst: dst}
 	w.chunk = newChunkWriter(dst)
 	w.comp = newCountWriter(w.chunk)
@@ -564,16 +516,7 @@ func NewShardWriterCodec(rank int, dst io.WriteCloser, codec Codec, pageSize int
 		return nil, fmt.Errorf("ckpt: rank %d shard compressor: %w", rank, err)
 	}
 	w.cw = cw
-	var rawDst io.Writer = cw
-	if pageSize > 0 {
-		w.pages = newPageSummer(pageSize, rawDst)
-		rawDst = w.pages
-	}
-	if withChunks {
-		w.chunks = newChunkSummer(rawDst)
-		rawDst = w.chunks
-	}
-	w.raw = newCountWriter(rawDst)
+	w.raw = newCountWriter(cw)
 	return w, nil
 }
 
@@ -597,19 +540,12 @@ func (w *ShardWriter) Close() (ShardSummary, error) {
 	if err := w.dst.Close(); err != nil && firstErr == nil {
 		firstErr = fmt.Errorf("ckpt: sealing rank %d shard stream: %w", w.rank, err)
 	}
-	sum := ShardSummary{
+	return ShardSummary{
 		Size:     w.comp.n,
 		Checksum: w.comp.h.Sum64(),
 		RawSize:  w.raw.n,
 		RawSum:   w.raw.h.Sum64(),
-	}
-	if w.pages != nil {
-		sum.PageSums = w.pages.finish()
-	}
-	if w.chunks != nil {
-		sum.Chunks = w.chunks.finish()
-	}
-	return sum, firstErr
+	}, firstErr
 }
 
 // shardRawHeader is the chunked raw layout's structured prefix: everything
@@ -862,301 +798,6 @@ func hashShardClockless(ri *RankImage) (sum uint64, size int64, err error) {
 		return 0, 0, err
 	}
 	return cw.h.Sum64(), cw.n, nil
-}
-
-// ----------------------------------------------------------- page deltas
-
-// Page-delta shards (RawFormatPageDelta). Whole-shard reuse is all or
-// nothing: one hot byte in a rank re-encodes, re-compresses, and re-writes
-// the entire shard. Delta mode splits the LOGICAL chunked stream into
-// fixed-size pages, keeps a per-page CRC-32C table in the manifest, and on
-// capture stores only the pages whose sums changed since the parent epoch —
-// against a FULL base shard (deltas never chain off deltas), so restart
-// reads exactly two objects and merges them at one-page memory.
-//
-// CRC-32C (Castagnoli) is the page checksum deliberately: the stdlib
-// implementation is hardware-accelerated (SSE4.2/ARMv8 CRC instructions),
-// so the per-page diff costs a fraction of another FNV pass. FNV-1a remains
-// the whole-stream identity (RawSum) for manifest compatibility — reuse
-// keying is unchanged.
-
-// ShardPageBytes is the default page width. 64 KiB balances table size
-// (16 KiB of sums per GiB of state) against delta granularity (one hot byte
-// dirties 64 KiB, not a whole shard).
-const ShardPageBytes = 64 << 10
-
-// crcTable is the Castagnoli polynomial table (SIMD-backed in the stdlib).
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
-
-// pagesOf returns how many pageSize pages cover n bytes.
-func pagesOf(n, pageSize int64) int64 {
-	if pageSize <= 0 {
-		return 0
-	}
-	return (n + pageSize - 1) / pageSize
-}
-
-// pageSummer accumulates a CRC-32C per fixed-size page of everything
-// written through it, forwarding to dst (nil discards — hash-only passes).
-type pageSummer struct {
-	dst      io.Writer
-	pageSize int64
-	sums     []uint32
-	crc      uint32
-	fill     int64 // bytes accumulated into the current page
-}
-
-func newPageSummer(pageSize int64, dst io.Writer) *pageSummer {
-	return &pageSummer{dst: dst, pageSize: pageSize}
-}
-
-func (p *pageSummer) Write(b []byte) (int, error) {
-	written := 0
-	for len(b) > 0 {
-		chunk := b
-		if room := p.pageSize - p.fill; int64(len(chunk)) > room {
-			chunk = chunk[:room]
-		}
-		p.crc = crc32.Update(p.crc, crcTable, chunk)
-		p.fill += int64(len(chunk))
-		if p.fill == p.pageSize {
-			p.sums = append(p.sums, p.crc)
-			p.crc, p.fill = 0, 0
-		}
-		if p.dst != nil {
-			n, err := p.dst.Write(chunk)
-			written += n
-			if err != nil {
-				return written, err
-			}
-		} else {
-			written += len(chunk)
-		}
-		b = b[len(chunk):]
-	}
-	return written, nil
-}
-
-// finish seals a trailing short page and returns the table. The summer must
-// not be written to afterwards.
-func (p *pageSummer) finish() []uint32 {
-	if p.fill > 0 {
-		p.sums = append(p.sums, p.crc)
-		p.crc, p.fill = 0, 0
-	}
-	return p.sums
-}
-
-// hashShardClocklessPaged is hashShardClockless plus a page table over the
-// same logical stream. The page sums describe exactly the bytes FNV hashes.
-func hashShardClocklessPaged(ri *RankImage, pageSize int64) (sum uint64, size int64, pages []uint32, err error) {
-	ps := newPageSummer(pageSize, nil)
-	cw := newCountWriter(ps)
-	if err := writeShardRaw(cw, ri, true); err != nil {
-		return 0, 0, nil, err
-	}
-	return cw.h.Sum64(), cw.n, ps.finish(), nil
-}
-
-// shardDeltaMagic introduces the stored delta stream (decompressed):
-//
-//	magic | gob(shardDeltaHeader) | dirty page payloads, ascending index
-//
-// The last page of the logical stream may be short; every other page is
-// exactly PageSize bytes. The header repeats geometry the manifest also
-// carries so a delta object is self-describing for tooling, but loads are
-// always driven by the manifest entry (which names the base epoch and the
-// expected page sums).
-var shardDeltaMagic = []byte("MANASHD2")
-
-type shardDeltaHeader struct {
-	Rank      int
-	BaseEpoch int
-	PageSize  int64
-	RawSize   int64 // logical (merged) stream length
-	Pages     []int32
-}
-
-// pageFilterWriter forwards only the byte ranges of dirty pages to dst,
-// discarding clean pages. It sees the full logical stream.
-type pageFilterWriter struct {
-	dst      io.Writer
-	pageSize int64
-	dirty    map[int32]bool
-	pos      int64
-}
-
-func newPageFilterWriter(dst io.Writer, pageSize int64, pages []int32) *pageFilterWriter {
-	dirty := make(map[int32]bool, len(pages))
-	for _, p := range pages {
-		dirty[p] = true
-	}
-	return &pageFilterWriter{dst: dst, pageSize: pageSize, dirty: dirty}
-}
-
-func (f *pageFilterWriter) Write(b []byte) (int, error) {
-	total := len(b)
-	for len(b) > 0 {
-		page := int32(f.pos / f.pageSize)
-		room := f.pageSize - f.pos%f.pageSize
-		chunk := b
-		if int64(len(chunk)) > room {
-			chunk = chunk[:room]
-		}
-		if f.dirty[page] {
-			if _, err := f.dst.Write(chunk); err != nil {
-				return total - len(b), err
-			}
-		}
-		f.pos += int64(len(chunk))
-		b = b[len(chunk):]
-	}
-	return total, nil
-}
-
-// ShardDeltaWriter streams one rank's LOGICAL chunked shard and stores only
-// its dirty pages as a RawFormatPageDelta object. Write sees the same bytes
-// a plain ShardWriter would (writeShardRaw output); the filter drops clean
-// pages before compression, so in-flight memory stays the compressor
-// window plus one chunk buffer — dirty ratio only shrinks the output.
-type ShardDeltaWriter struct {
-	rank  int
-	raw   *countWriter // logical stream accounting (drift check vs HashCapture)
-	dRaw  *countWriter // stored delta stream (magic+header+dirty pages)
-	cw    io.WriteCloser
-	comp  *countWriter
-	chunk *chunkWriter
-	dst   io.WriteCloser
-}
-
-// ShardDeltaSummary reports both identities of a stored delta: the logical
-// stream it reproduces (RawSize/RawSum, manifest reuse key) and the delta
-// stream actually stored (DeltaRawSize/DeltaRawSum), plus the compressed
-// object Size/Checksum.
-type ShardDeltaSummary struct {
-	Size         int64
-	Checksum     uint64
-	RawSize      int64
-	RawSum       uint64
-	DeltaRawSize int64
-	DeltaRawSum  uint64
-}
-
-func NewShardDeltaWriter(rank int, dst io.WriteCloser, codec Codec, hdr shardDeltaHeader) (*ShardDeltaWriter, error) {
-	w := &ShardDeltaWriter{rank: rank, dst: dst}
-	w.chunk = newChunkWriter(dst)
-	w.comp = newCountWriter(w.chunk)
-	cw, err := codec.NewWriter(w.comp)
-	if err != nil {
-		return nil, fmt.Errorf("ckpt: rank %d delta compressor: %w", rank, err)
-	}
-	w.cw = cw
-	w.dRaw = newCountWriter(cw)
-	if _, err := w.dRaw.Write(shardDeltaMagic); err != nil {
-		return nil, fmt.Errorf("ckpt: rank %d delta magic: %w", rank, err)
-	}
-	if err := gob.NewEncoder(w.dRaw).Encode(&hdr); err != nil {
-		return nil, fmt.Errorf("ckpt: rank %d delta header: %w", rank, err)
-	}
-	w.raw = newCountWriter(newPageFilterWriter(w.dRaw, hdr.PageSize, hdr.Pages))
-	return w, nil
-}
-
-// Write accepts the logical chunked stream (same bytes as ShardWriter).
-func (w *ShardDeltaWriter) Write(b []byte) (int, error) { return w.raw.Write(b) }
-
-// Close finalizes the compressed delta stream, flushes the chunk buffer,
-// closes the store writer, and reports both identities.
-func (w *ShardDeltaWriter) Close() (ShardDeltaSummary, error) {
-	var firstErr error
-	if err := w.cw.Close(); err != nil {
-		firstErr = fmt.Errorf("ckpt: compressing rank %d delta shard: %w", w.rank, err)
-	}
-	if err := w.chunk.close(); err != nil && firstErr == nil {
-		firstErr = fmt.Errorf("ckpt: writing rank %d delta shard: %w", w.rank, err)
-	}
-	if err := w.dst.Close(); err != nil && firstErr == nil {
-		firstErr = fmt.Errorf("ckpt: sealing rank %d delta shard stream: %w", w.rank, err)
-	}
-	return ShardDeltaSummary{
-		Size:         w.comp.n,
-		Checksum:     w.comp.h.Sum64(),
-		RawSize:      w.raw.n,
-		RawSum:       w.raw.h.Sum64(),
-		DeltaRawSize: w.dRaw.n,
-		DeltaRawSum:  w.dRaw.h.Sum64(),
-	}, firstErr
-}
-
-// deltaMergeReader reconstructs the logical chunked stream from a base
-// logical stream (a full shard's decompressed bytes) and a delta body (the
-// dirty page payloads, header already consumed), one page at a time: dirty
-// pages come from the delta (the base's copy is skipped), clean pages from
-// the base, and every page is CRC-checked against the manifest's table the
-// moment it is assembled — corruption is attributed to the exact page
-// before a single byte of it reaches the shard decoder.
-type deltaMergeReader struct {
-	base  io.Reader
-	delta io.Reader
-	si    *ShardInfo
-	dirty map[int32]bool
-	page  int32
-	buf   []byte
-	avail []byte
-	err   error
-}
-
-func newDeltaMergeReader(base, delta io.Reader, si *ShardInfo) *deltaMergeReader {
-	dirty := make(map[int32]bool, len(si.DeltaPages))
-	for _, p := range si.DeltaPages {
-		dirty[p] = true
-	}
-	return &deltaMergeReader{base: base, delta: delta, si: si, dirty: dirty,
-		buf: make([]byte, si.PageSize)}
-}
-
-// fill assembles and verifies the next page into r.avail.
-func (r *deltaMergeReader) fill() error {
-	off := int64(r.page) * r.si.PageSize
-	if off >= r.si.RawSize {
-		return io.EOF
-	}
-	n := r.si.PageSize
-	if off+n > r.si.RawSize {
-		n = r.si.RawSize - off
-	}
-	b := r.buf[:n]
-	if r.dirty[r.page] {
-		if _, err := io.ReadFull(r.delta, b); err != nil {
-			return fmt.Errorf("reading delta page %d: %w", r.page, err)
-		}
-		if _, err := io.CopyN(io.Discard, r.base, n); err != nil {
-			return fmt.Errorf("skipping base page %d: %w", r.page, err)
-		}
-	} else if _, err := io.ReadFull(r.base, b); err != nil {
-		return fmt.Errorf("reading base page %d: %w", r.page, err)
-	}
-	if got := crc32.Checksum(b, crcTable); got != r.si.PageSums[r.page] {
-		return fmt.Errorf("page %d corrupted (crc %08x, want %08x)", r.page, got, r.si.PageSums[r.page])
-	}
-	r.avail = b
-	r.page++
-	return nil
-}
-
-func (r *deltaMergeReader) Read(p []byte) (int, error) {
-	if r.err != nil {
-		return 0, r.err
-	}
-	for len(r.avail) == 0 {
-		if err := r.fill(); err != nil {
-			r.err = err
-			return 0, err
-		}
-	}
-	n := copy(p, r.avail)
-	r.avail = r.avail[n:]
-	return n, nil
 }
 
 // countReader accumulates an FNV-1a checksum and byte count over everything
@@ -1509,37 +1150,12 @@ func (man *Manifest) validate(shardDataLen int64) error {
 		if si.CodecID < CodecFlate || si.CodecID > CodecNone {
 			return fmt.Errorf("ckpt: rank %d shard declares unknown codec %d", si.Rank, si.CodecID)
 		}
-		if si.PageSize < 0 || si.BaseSize < 0 || si.DeltaRawSize < 0 {
-			return fmt.Errorf("ckpt: rank %d shard has negative page geometry (page %d, base %d, delta raw %d)",
-				si.Rank, si.PageSize, si.BaseSize, si.DeltaRawSize)
-		}
-		if len(si.PageSums) > 0 || si.RawFormat == RawFormatPageDelta {
-			// Any recorded page table must tile the logical stream exactly —
-			// a wrong count would mis-attribute pages or index out of range.
-			if si.PageSize <= 0 {
-				return fmt.Errorf("ckpt: rank %d shard has a page table but page size %d", si.Rank, si.PageSize)
-			}
-			if int64(len(si.PageSums)) != pagesOf(si.RawSize, si.PageSize) {
-				return fmt.Errorf("ckpt: rank %d shard page table has %d sums for %d pages",
-					si.Rank, len(si.PageSums), pagesOf(si.RawSize, si.PageSize))
-			}
-		}
 		if si.RawFormat == RawFormatPageDelta {
-			if si.BaseEpoch < 0 || si.BaseEpoch >= si.RefEpoch {
-				return fmt.Errorf("ckpt: rank %d delta shard stored in epoch %d names base epoch %d (base must be an earlier full shard)",
-					si.Rank, si.RefEpoch, si.BaseEpoch)
-			}
-			if !sort.SliceIsSorted(si.DeltaPages, func(a, b int) bool { return si.DeltaPages[a] < si.DeltaPages[b] }) {
-				return fmt.Errorf("ckpt: rank %d delta shard page list is not sorted", si.Rank)
-			}
-			for j, p := range si.DeltaPages {
-				if p < 0 || int64(p) >= pagesOf(si.RawSize, si.PageSize) {
-					return fmt.Errorf("ckpt: rank %d delta shard names page %d of %d", si.Rank, p, pagesOf(si.RawSize, si.PageSize))
-				}
-				if j > 0 && si.DeltaPages[j-1] == p {
-					return fmt.Errorf("ckpt: rank %d delta shard lists page %d twice", si.Rank, p)
-				}
-			}
+			return fmt.Errorf("ckpt: rank %d shard is a page delta (raw format 2), which is no longer readable; re-checkpoint the chain into an empty store",
+				si.Rank)
+		}
+		if si.DeltaRawSize < 0 {
+			return fmt.Errorf("ckpt: rank %d shard has negative stored-stream size %d", si.Rank, si.DeltaRawSize)
 		}
 		if si.RawFormat == RawFormatCDC && len(si.Chunks) == 0 {
 			// The streaming writer always emits at least the magic+header,

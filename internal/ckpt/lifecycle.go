@@ -10,8 +10,8 @@ package ckpt
 //
 //   - GCStore deletes every sealed epoch that no retained manifest reaches
 //     (liveness traced transitively through ShardInfo.RefEpoch and, for
-//     page-delta shards, BaseEpoch), plus any unsealed-epoch debris left
-//     by aborted commits.
+//     CDC shards, every chunk source epoch), plus any unsealed-epoch debris
+//     left by aborted commits.
 //   - CompactChain rewrites a deep chain's newest epoch into a fresh
 //     self-contained epoch by streaming verified copies of every resolved
 //     shard, restoring the depth-1 restart read cost and making every
@@ -115,14 +115,6 @@ func GCStore(store Store, keep int) (*GCStats, error) {
 				live[ref] = true
 				queue = append(queue, ref)
 			}
-			// A page-delta shard needs its base epoch alive too: the delta
-			// object is unreadable without the full shard it diffs against.
-			if man.Shards[i].RawFormat == RawFormatPageDelta {
-				if base := man.Shards[i].BaseEpoch; !live[base] {
-					live[base] = true
-					queue = append(queue, base)
-				}
-			}
 			// A chunk table keeps every source epoch alive: a CDC shard is
 			// unreadable without the objects its reused chunks point into.
 			for _, c := range man.Shards[i].Chunks {
@@ -212,12 +204,9 @@ func CompactChain(store Store, epoch int, budget *StreamBudget) (*Manifest, *Com
 	}
 	selfContained := true
 	for i := range man.Shards {
-		// A page-delta shard is never self-contained even when the delta
-		// object lives in this epoch: it reconstructs through its base. A
-		// CDC shard likewise reconstructs through its chunk sources.
-		if man.Shards[i].RefEpoch != man.Epoch ||
-			man.Shards[i].RawFormat == RawFormatPageDelta ||
-			man.Shards[i].RawFormat == RawFormatCDC {
+		// A CDC shard is never self-contained even when its object lives
+		// in this epoch: it reconstructs through its chunk sources.
+		if man.Shards[i].RefEpoch != man.Epoch || man.Shards[i].RawFormat == RawFormatCDC {
 			selfContained = false
 			break
 		}
@@ -254,22 +243,13 @@ func CompactChain(store Store, epoch int, budget *StreamBudget) (*Manifest, *Com
 			budget.Acquire(shardStreamFootprint)
 			defer budget.Release(shardStreamFootprint)
 			switch {
-			case si.RawFormat == RawFormatPageDelta:
-				// A delta shard cannot be copied verbatim — the copy would
-				// still dangle off its base. Flatten it: stream the verified
-				// base+delta page merge back through a shard compressor into
-				// a self-contained full shard. The logical identity (RawSum/
-				// RawSize, page table) is unchanged; only the stored object
-				// is new.
-				if err := flattenDeltaShard(store, newEpoch, &si); err != nil {
-					return fmt.Errorf("ckpt: compacting epoch %d rank %d (delta stored in epoch %d, base in epoch %d): %w",
-						epoch, si.Rank, si.RefEpoch, si.BaseEpoch, err)
-				}
 			case si.RawFormat == RawFormatCDC:
-				// A CDC shard dangles off every epoch its reused chunks
-				// point into. Flatten it the same way: stream the per-chunk
-				// verified merge back through a shard compressor into a
-				// self-contained full chunked shard.
+				// A CDC shard cannot be copied verbatim — the copy would still
+				// dangle off every epoch its reused chunks point into. Flatten
+				// it: stream the per-chunk verified merge back through a shard
+				// compressor into a self-contained full chunked shard. The
+				// logical identity (RawSum/RawSize) is unchanged; only the
+				// stored object is new.
 				if err := flattenCDCShard(store, newEpoch, &si); err != nil {
 					return fmt.Errorf("ckpt: compacting epoch %d rank %d (cdc shard stored in epoch %d): %w",
 						epoch, si.Rank, si.RefEpoch, err)
@@ -327,63 +307,6 @@ func CompactChain(store Store, epoch int, budget *StreamBudget) (*Manifest, *Com
 	return newMan, st, nil
 }
 
-// flattenDeltaShard rewrites one page-delta shard as a self-contained
-// chunked shard in newEpoch: the base and delta objects stream through the
-// page merger (every page CRC-checked, both objects checksum-verified) and
-// the merged logical stream recompresses directly into the new object —
-// nothing shard-sized is ever held. On success si is mutated in place into
-// the full shard's entry: RawFormatChunked, new Size/Checksum, page table
-// kept, delta linkage cleared.
-func flattenDeltaShard(store Store, newEpoch int, si *ShardInfo) error {
-	m, err := openDeltaMerge(store, si)
-	if m != nil {
-		defer m.close()
-	}
-	if err != nil {
-		return err
-	}
-	// Re-encode with the codec that produced the delta object, so the
-	// entry's persisted CodecID keeps describing the stored bytes.
-	codec, err := codecByID(si.CodecID)
-	if err != nil {
-		return err
-	}
-	dst, err := store.PutShardStream(newEpoch, si.Rank)
-	if err != nil {
-		return err
-	}
-	sw, err := NewShardWriterCodec(si.Rank, dst, codec, si.PageSize, false)
-	if err != nil {
-		//lint:allow closecheck shard-writer setup failed; dst is abandoned and the setup error surfaces
-		dst.Close()
-		return err
-	}
-	// The merged stream IS the chunked raw stream; feed it straight into the
-	// writer's raw side (the page summer re-derives the table as it flows).
-	_, copyErr := io.Copy(sw.raw, m.merged)
-	sum, closeErr := sw.Close()
-	if err := m.finish(copyErr); err != nil {
-		return err
-	}
-	if closeErr != nil {
-		return closeErr
-	}
-	if sum.RawSum != si.RawSum || sum.RawSize != si.RawSize {
-		return fmt.Errorf("flattened shard does not match its manifest identity (got %d raw bytes sum %#x, want %d sum %#x)",
-			sum.RawSize, sum.RawSum, si.RawSize, si.RawSum)
-	}
-	si.RawFormat = RawFormatChunked
-	si.Size = sum.Size
-	si.Checksum = sum.Checksum
-	si.PageSums = sum.PageSums
-	si.BaseEpoch = 0
-	si.DeltaPages = nil
-	si.BaseSize = 0
-	si.DeltaRawSize = 0
-	si.DeltaRawSum = 0
-	return nil
-}
-
 // flattenCDCShard rewrites one CDC shard as a self-contained chunked shard
 // in newEpoch: the fresh payload and every reused chunk stream through the
 // per-chunk-verified merge (source objects checksum-verified, every chunk
@@ -408,7 +331,7 @@ func flattenCDCShard(store Store, newEpoch int, si *ShardInfo) error {
 	if err != nil {
 		return err
 	}
-	sw, err := NewShardWriterCodec(si.Rank, dst, codec, si.PageSize, false)
+	sw, err := NewShardWriterCodec(si.Rank, dst, codec)
 	if err != nil {
 		//lint:allow closecheck shard-writer setup failed; dst is abandoned and the setup error surfaces
 		dst.Close()

@@ -22,9 +22,7 @@ package ckpt
 //     overlap (asynchronous ones).
 
 import (
-	"bufio"
 	"bytes"
-	"encoding/gob"
 	"fmt"
 	"io"
 	"math"
@@ -540,8 +538,8 @@ type ModelStore struct {
 	// PadShardBytes, when positive, charges every fresh shard at this size
 	// instead of its actual blob length (reproducing the paper's padded
 	// image sizes). Reused shards are never charged — that is the
-	// incremental win. Page-delta shards are charged pro-rata (the dirty
-	// fraction of the padded size): delta bytes are priced, never padded
+	// incremental win. CDC objects are charged pro-rata (the fresh-chunk
+	// fraction of the padded size): their bytes are priced, never padded
 	// back up to whole shards.
 	PadShardBytes int64
 	// FlateLevel, when non-zero, selects the flate compression level fresh
@@ -619,7 +617,7 @@ type meteredShardWriter struct {
 	inner  io.WriteCloser
 	epoch  int
 	n      int64
-	pad    int64 // per-stream charge override (delta pro-rata pricing)
+	pad    int64 // per-stream charge override (CDC pro-rata pricing)
 	closed bool
 }
 
@@ -659,8 +657,8 @@ func (s *ModelStore) PutShardStream(epoch, rank int) (io.WriteCloser, error) {
 }
 
 // putShardStreamPadded opens a metered stream whose Close charges `pad`
-// bytes regardless of PadShardBytes — how a page-delta shard is priced at
-// the dirty fraction of the padded image size instead of a whole padded
+// bytes regardless of PadShardBytes — how a CDC object is priced at the
+// fresh-chunk fraction of the padded image size instead of a whole padded
 // shard. pad <= 0 falls back to the default metering.
 func (s *ModelStore) putShardStreamPadded(epoch, rank int, pad int64) (io.WriteCloser, error) {
 	w, err := s.Inner.PutShardStream(epoch, rank)
@@ -879,11 +877,6 @@ type CommitStats struct {
 	ReusedShards int
 	FreshBytes   int64 // compressed bytes written this epoch
 	ReusedBytes  int64 // compressed bytes referenced from earlier epochs
-	// DeltaShards/DeltaBytes count the subset of the fresh set written as
-	// page-delta objects (dirty pages only) rather than full shards; their
-	// bytes are included in FreshBytes.
-	DeltaShards int
-	DeltaBytes  int64
 	// CDCShards/CDCBytes count the subset of the fresh set written as
 	// content-defined-chunk objects (fresh chunks only); their bytes are
 	// included in FreshBytes.
@@ -919,12 +912,6 @@ func CommitCapture(store Store, epoch int, parent *Manifest, img *JobImage) (*Ma
 type ShardSums struct {
 	Sums  []uint64
 	Sizes []int64
-	// PageSize/PageSums carry the per-rank CRC-32C page tables when the
-	// capture was hashed for page-delta commits (HashCapturePaged); nil
-	// PageSums means whole-shard diffing only. The tables are what
-	// CommitStreamed diffs against the parent's to find dirty pages.
-	PageSize int64
-	PageSums [][]uint32
 	// Chunks carries the per-rank content-defined chunk tables when the
 	// capture was hashed for CDC commits (HashCaptureCDC); nil means no
 	// chunk-level diffing. CommitStreamed looks each chunk up in the parent
@@ -935,18 +922,18 @@ type ShardSums struct {
 // HashCapture hashes every rank's clockless shard identity across
 // GOMAXPROCS workers, using O(workers) memory regardless of shard sizes.
 func HashCapture(img *JobImage) (*ShardSums, error) {
-	return hashCapture(img, 0)
-}
-
-// HashCapturePaged additionally records each rank's CRC-32C page table over
-// the same pass (the page CRCs ride the FNV stream — no second walk),
-// arming CommitStreamed's page-delta diff. pageSize <= 0 selects the
-// default ShardPageBytes.
-func HashCapturePaged(img *JobImage, pageSize int64) (*ShardSums, error) {
-	if pageSize <= 0 {
-		pageSize = ShardPageBytes
+	n := len(img.Images)
+	sums := &ShardSums{Sums: make([]uint64, n), Sizes: make([]int64, n)}
+	errs := make([]error, n)
+	fanOut(n, encodeWorkers(n), func(i int) {
+		sums.Sums[i], sums.Sizes[i], errs[i] = hashShardClockless(&img.Images[i])
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
 	}
-	return hashCapture(img, pageSize)
+	return sums, nil
 }
 
 // HashCaptureCDC records each rank's content-defined chunk table over the
@@ -972,48 +959,17 @@ func HashCaptureCDC(img *JobImage) (*ShardSums, error) {
 	return sums, nil
 }
 
-func hashCapture(img *JobImage, pageSize int64) (*ShardSums, error) {
-	n := len(img.Images)
-	sums := &ShardSums{Sums: make([]uint64, n), Sizes: make([]int64, n)}
-	if pageSize > 0 {
-		sums.PageSize = pageSize
-		sums.PageSums = make([][]uint32, n)
-	}
-	errs := make([]error, n)
-	fanOut(n, encodeWorkers(n), func(i int) {
-		if pageSize > 0 {
-			sums.Sums[i], sums.Sizes[i], sums.PageSums[i], errs[i] = hashShardClocklessPaged(&img.Images[i], pageSize)
-		} else {
-			sums.Sums[i], sums.Sizes[i], errs[i] = hashShardClockless(&img.Images[i])
-		}
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return sums, nil
-}
-
 // CommitStreamed runs the ordered tail of the commit: diff the hashed shard
 // identities against the parent manifest, stream the fresh set into the
 // store (each shard gob+flate+checksum straight into its PutShardStream
 // writer — no whole-shard slice anywhere), and seal the manifest from the
 // writer-reported sizes and checksums. budget bounds the fan-out's
 // in-flight encode memory; nil selects a default-capacity budget.
-//
-// When sums carries page tables (HashCapturePaged), the diff is page-
-// granular: a changed rank whose parent entry has a compatible page table
-// is written as a RawFormatPageDelta object holding only its dirty pages,
-// anchored at the chain's most recent FULL shard for that rank (deltas
-// never chain off deltas, so restart reads exactly two objects). The
-// manifest seals as ManifestV4.
 func CommitStreamed(store Store, epoch int, parent *Manifest, img *JobImage, sums *ShardSums, budget *StreamBudget) (*Manifest, *CommitStats, error) {
 	n := len(img.Images)
 	if budget == nil {
 		budget = NewStreamBudget(0)
 	}
-	deltaMode := sums.PageSums != nil
 	cdcMode := sums.Chunks != nil
 	ms, _ := store.(*ModelStore)
 	level := 0
@@ -1062,9 +1018,6 @@ func CommitStreamed(store Store, epoch int, parent *Manifest, img *JobImage, sum
 		Epoch:              epoch,
 		Parent:             -1,
 	}
-	if deltaMode {
-		man.Version = ManifestV4
-	}
 	if cdcMode {
 		man.Version = ManifestV5
 	}
@@ -1088,10 +1041,6 @@ func CommitStreamed(store Store, epoch int, parent *Manifest, img *JobImage, sum
 			RawFormat: RawFormatChunked,
 			CodecID:   codec.ID(), // fresh shards; the reuse case overrides
 		}
-		if deltaMode {
-			si.PageSize = sums.PageSize
-			si.PageSums = sums.PageSums[i]
-		}
 		p := parentByRank[ri.Rank]
 		switch {
 		// Reuse keys on the raw identity, which includes the layout: a
@@ -1101,32 +1050,14 @@ func CommitStreamed(store Store, epoch int, parent *Manifest, img *JobImage, sum
 		// decode follows the bytes that actually exist.
 		case p != nil && p.RawSum == sums.Sums[i] && p.RawSize == sums.Sizes[i]:
 			// Unchanged since the parent capture: reference the bytes where
-			// they already live instead of rewriting them. A page-delta
-			// parent copies its whole delta identity — the reference decodes
-			// through the same base+delta pair. (A zero-dirty-pages epoch is
-			// exactly this case: identical logical bytes are a reference,
-			// never an empty delta object.)
+			// they already live instead of rewriting them. (A rank whose
+			// every chunk is unchanged is exactly this case: identical
+			// logical bytes are a reference, never an empty chunk object.)
 			si.RefEpoch = p.RefEpoch
 			si.Size = p.Size
 			si.Checksum = p.Checksum
 			si.RawFormat = p.RawFormat
 			si.CodecID = p.CodecID
-			if p.RawFormat == RawFormatPageDelta {
-				// The stored object is the parent's delta: its geometry, not
-				// this capture's, is what decode must follow.
-				si.PageSize = p.PageSize
-				si.PageSums = p.PageSums
-				si.BaseEpoch = p.BaseEpoch
-				si.DeltaPages = p.DeltaPages
-				si.BaseSize = p.BaseSize
-				si.DeltaRawSize = p.DeltaRawSize
-				si.DeltaRawSum = p.DeltaRawSum
-			} else if len(si.PageSums) == 0 {
-				// Keep a parent-recorded page table alive across reuse even
-				// when this commit is not hashing pages.
-				si.PageSize = p.PageSize
-				si.PageSums = p.PageSums
-			}
 			if p.RawFormat == RawFormatCDC {
 				// The stored object is the parent's CDC object: decode needs
 				// its stored-stream identity.
@@ -1145,7 +1076,7 @@ func CommitStreamed(store Store, epoch int, parent *Manifest, img *JobImage, sum
 			// referenced verbatim (one hop, never a chain), the rest are
 			// fresh and self-sourced. Past half the bytes fresh, a
 			// self-contained full shard beats the fan-in a CDC object costs
-			// at restart — same re-anchoring rule as page deltas.
+			// at restart.
 			table := sums.Chunks[i]
 			refs := make([]ChunkRef, len(table))
 			var reused int64
@@ -1166,26 +1097,6 @@ func CommitStreamed(store Store, epoch int, parent *Manifest, img *JobImage, sum
 			} else {
 				si.Chunks = selfChunkRefs(table, epoch, ri.Rank)
 			}
-			fresh = append(fresh, i)
-		case deltaMode && deltaEligible(p, sums, i):
-			// Changed, but page-diffable: store only the dirty pages against
-			// the chain's full base shard for this rank.
-			dirty := dirtyPages(p, sums.PageSums[i])
-			baseEpoch, baseSize := p.RefEpoch, p.Size
-			if p.RawFormat == RawFormatPageDelta {
-				baseEpoch, baseSize = p.BaseEpoch, p.BaseSize
-			}
-			// Re-anchor once the dirty set stops paying: past half the pages
-			// the delta object (plus the base read at restart) costs more
-			// than a self-contained full shard ever would.
-			if int64(len(dirty))*2 > pagesOf(sums.Sizes[i], sums.PageSize) || len(dirty) == 0 {
-				fresh = append(fresh, i)
-				break
-			}
-			si.RawFormat = RawFormatPageDelta
-			si.BaseEpoch = baseEpoch
-			si.BaseSize = baseSize
-			si.DeltaPages = dirty
 			fresh = append(fresh, i)
 		default:
 			fresh = append(fresh, i)
@@ -1211,23 +1122,6 @@ func CommitStreamed(store Store, epoch int, parent *Manifest, img *JobImage, sum
 			var sum ShardSummary
 			var encErr, closeErr error
 			switch si.RawFormat {
-			case RawFormatPageDelta:
-				dw, err := NewShardDeltaWriter(ri.Rank, dst, codec, shardDeltaHeader{
-					Rank: ri.Rank, BaseEpoch: si.BaseEpoch,
-					PageSize: si.PageSize, RawSize: si.RawSize, Pages: si.DeltaPages,
-				})
-				if err != nil {
-					//lint:allow closecheck delta-writer setup failed; dst is abandoned and the setup error surfaces
-					dst.Close()
-					return err
-				}
-				encErr = writeShardRaw(dw, ri, true)
-				var dsum ShardDeltaSummary
-				dsum, closeErr = dw.Close()
-				sum = ShardSummary{Size: dsum.Size, Checksum: dsum.Checksum,
-					RawSize: dsum.RawSize, RawSum: dsum.RawSum}
-				si.DeltaRawSize = dsum.DeltaRawSize
-				si.DeltaRawSum = dsum.DeltaRawSum
 			case RawFormatCDC:
 				freshIdx := cdcFreshIndices(si)
 				lens := make([]int64, len(si.Chunks))
@@ -1258,11 +1152,7 @@ func CommitStreamed(store Store, epoch int, parent *Manifest, img *JobImage, sum
 					off += si.Chunks[k].Len
 				}
 			default:
-				pageSize := int64(0)
-				if deltaMode {
-					pageSize = sums.PageSize
-				}
-				sw, err := NewShardWriterCodec(ri.Rank, dst, codec, pageSize, false)
+				sw, err := NewShardWriterCodec(ri.Rank, dst, codec)
 				if err != nil {
 					//lint:allow closecheck shard-writer setup failed; dst is abandoned and the setup error surfaces
 					dst.Close()
@@ -1279,8 +1169,8 @@ func CommitStreamed(store Store, epoch int, parent *Manifest, img *JobImage, sum
 			}
 			// The raw identity must match the pre-ticket hash: it keys the
 			// next epoch's diff, and a drift here would silently reuse a
-			// changed shard later. (For deltas the writer's raw counter sees
-			// the same logical stream, so the check is format-independent.)
+			// changed shard later. (For CDC objects the writer's raw counter
+			// sees the same logical stream, so the check is format-independent.)
 			if sum.RawSum != sums.Sums[i] || sum.RawSize != sums.Sizes[i] {
 				return fmt.Errorf("ckpt: rank %d shard identity drifted between hash and stream (state mutated during commit?)", ri.Rank)
 			}
@@ -1297,10 +1187,6 @@ func CommitStreamed(store Store, epoch int, parent *Manifest, img *JobImage, sum
 	for _, i := range fresh {
 		st.FreshShards++
 		st.FreshBytes += man.Shards[i].Size
-		if man.Shards[i].RawFormat == RawFormatPageDelta {
-			st.DeltaShards++
-			st.DeltaBytes += man.Shards[i].Size
-		}
 		if man.Shards[i].RawFormat == RawFormatCDC {
 			st.CDCShards++
 			st.CDCBytes += man.Shards[i].Size
@@ -1312,54 +1198,11 @@ func CommitStreamed(store Store, epoch int, parent *Manifest, img *JobImage, sum
 	return man, st, nil
 }
 
-// deltaEligible reports whether rank i's changed shard can be stored as a
-// page delta against parent entry p: the parent must carry a page table at
-// this capture's page size over an identical-length logical stream (page
-// diffs are positional), and must itself be a chunked or page-delta shard —
-// a legacy gob parent has no compatible layout and forces a clean
-// full-shard fallback.
-func deltaEligible(p *ShardInfo, sums *ShardSums, i int) bool {
-	return p != nil &&
-		(p.RawFormat == RawFormatChunked || p.RawFormat == RawFormatPageDelta) &&
-		p.PageSize == sums.PageSize && len(p.PageSums) > 0 &&
-		p.RawSize == sums.Sizes[i]
-}
-
-// dirtyPages returns the sorted dirty page set of a capture against parent
-// entry p: every page whose CRC differs from the parent's table, UNIONED
-// with the parent's own dirty set when the parent is itself a delta — the
-// new delta reconstructs against the chain's base shard, so pages the
-// parent already diverged from the base must ride along even when this
-// capture did not touch them again.
-func dirtyPages(p *ShardInfo, pages []uint32) []int32 {
-	dirty := make([]int32, 0, len(p.DeltaPages)+8)
-	carried := make(map[int32]bool, len(p.DeltaPages))
-	if p.RawFormat == RawFormatPageDelta {
-		for _, pg := range p.DeltaPages {
-			carried[pg] = true
-		}
-	}
-	for k := range pages {
-		if pages[k] != p.PageSums[k] || carried[int32(k)] {
-			dirty = append(dirty, int32(k))
-		}
-	}
-	return dirty
-}
-
 // openFreshStream opens the store stream one fresh shard encodes into,
-// routing page-delta and CDC shards through the ModelStore's pro-rata
-// padded pricing when a padded image size is configured: each partial
-// object charges the fraction of the padded size its stored payload covers
-// (dirty pages, or fresh chunk bytes).
+// routing CDC shards through the ModelStore's pro-rata padded pricing when
+// a padded image size is configured: a chunk object charges the fraction of
+// the padded size its fresh chunk bytes cover.
 func openFreshStream(store Store, ms *ModelStore, epoch int, si *ShardInfo) (io.WriteCloser, error) {
-	if ms != nil && ms.PadShardBytes > 0 && si.RawFormat == RawFormatPageDelta {
-		pad := ms.PadShardBytes * int64(len(si.DeltaPages)) / pagesOf(si.RawSize, si.PageSize)
-		if pad < 1 {
-			pad = 1
-		}
-		return ms.putShardStreamPadded(epoch, si.Rank, pad)
-	}
 	if ms != nil && ms.PadShardBytes > 0 && si.RawFormat == RawFormatCDC && si.RawSize > 0 {
 		pad := ms.PadShardBytes * cdcFreshLen(si) / si.RawSize
 		if pad < 1 {
@@ -1408,14 +1251,6 @@ func unsealedRefErr(man *Manifest, si *ShardInfo) error {
 		man.Epoch, si.Rank, si.RefEpoch)
 }
 
-// unsealedBaseErr is the same diagnostic for a page-delta shard whose base
-// epoch is gone: the delta object may be intact, but without its full base
-// shard it reconstructs nothing.
-func unsealedBaseErr(man *Manifest, si *ShardInfo) error {
-	return fmt.Errorf("ckpt: epoch %d rank %d delta-references base epoch %d, which is not sealed in the store (aborted commit or reclaimed base)",
-		man.Epoch, si.Rank, si.BaseEpoch)
-}
-
 // unsealedChunkErr is the same diagnostic for a chunk table entry whose
 // source epoch is gone: without the object physically holding the chunk's
 // bytes the shard cannot reassemble.
@@ -1446,8 +1281,7 @@ func unsealedChunkSrc(si *ShardInfo, manEpoch int, sealed map[int]bool) int {
 func checkRefsSealed(store Store, man *Manifest) error {
 	hasRefs := false
 	for i := range man.Shards {
-		if man.Shards[i].RefEpoch != man.Epoch || man.Shards[i].RawFormat == RawFormatPageDelta ||
-			man.Shards[i].RawFormat == RawFormatCDC {
+		if man.Shards[i].RefEpoch != man.Epoch || man.Shards[i].RawFormat == RawFormatCDC {
 			hasRefs = true
 			break
 		}
@@ -1463,9 +1297,6 @@ func checkRefsSealed(store Store, man *Manifest) error {
 		si := &man.Shards[i]
 		if si.RefEpoch != man.Epoch && !sealed[si.RefEpoch] {
 			return unsealedRefErr(man, si)
-		}
-		if si.RawFormat == RawFormatPageDelta && !sealed[si.BaseEpoch] {
-			return unsealedBaseErr(man, si)
 		}
 		if e := unsealedChunkSrc(si, man.Epoch, sealed); e >= 0 {
 			return unsealedChunkErr(man, si, e)
@@ -1525,8 +1356,6 @@ func loadShard(store Store, man *Manifest, si *ShardInfo) (*RankImage, error) {
 	var ri *RankImage
 	var err error
 	switch si.RawFormat {
-	case RawFormatPageDelta:
-		ri, err = loadShardDelta(store, si)
 	case RawFormatCDC:
 		ri, err = loadShardCDC(store, si)
 	default:
@@ -1556,162 +1385,6 @@ func loadShard(store Store, man *Manifest, si *ShardInfo) (*RankImage, error) {
 	return ri, nil
 }
 
-// deltaMerge wires one RawFormatPageDelta shard's two stored objects — the
-// full base shard at si.BaseEpoch and the delta object at si.RefEpoch —
-// into the page-merged logical stream. Callers read `merged` (the logical
-// chunked stream, CRC-checked page by page as it assembles) and then call
-// finish, which drains both objects so every checksum covers every byte
-// and applies the verification order: a compressed-object checksum
-// mismatch wins over any decode or page error (corrupted bytes produce
-// arbitrary downstream failures; naming the corrupt object is what
-// matters). A page whose payload decompresses cleanly but fails its CRC
-// is attributed by page index — the caller's context adds epoch and rank.
-type deltaMerge struct {
-	si      *ShardInfo
-	bi      *ShardInfo
-	merged  *countReader
-	baseCr  *countReader
-	deltaCr *countReader
-	dRaw    *countReader
-	closers []io.Closer
-}
-
-func openDeltaMerge(store Store, si *ShardInfo) (*deltaMerge, error) {
-	baseMan, err := store.GetManifest(si.BaseEpoch)
-	if err != nil {
-		return nil, fmt.Errorf("reading base epoch %d manifest: %w", si.BaseEpoch, err)
-	}
-	var bi *ShardInfo
-	for i := range baseMan.Shards {
-		if baseMan.Shards[i].Rank == si.Rank {
-			bi = &baseMan.Shards[i]
-			break
-		}
-	}
-	if bi == nil {
-		return nil, fmt.Errorf("base epoch %d has no rank %d", si.BaseEpoch, si.Rank)
-	}
-	if bi.RefEpoch != si.BaseEpoch || bi.RawFormat != RawFormatChunked || bi.RawSize != si.RawSize {
-		return nil, fmt.Errorf("base epoch %d rank %d is not a full shard of %d raw bytes (format %d, stored in epoch %d, %d raw bytes)",
-			si.BaseEpoch, si.Rank, si.RawSize, bi.RawFormat, bi.RefEpoch, bi.RawSize)
-	}
-
-	baseCodec, err := codecByID(bi.CodecID)
-	if err != nil {
-		return nil, err
-	}
-	deltaCodec, err := codecByID(si.CodecID)
-	if err != nil {
-		return nil, err
-	}
-
-	m := &deltaMerge{si: si, bi: bi}
-	brc, err := store.OpenShard(si.BaseEpoch, si.Rank)
-	if err != nil {
-		return nil, fmt.Errorf("opening base shard in epoch %d: %w", si.BaseEpoch, err)
-	}
-	m.closers = append(m.closers, brc)
-	m.baseCr = newCountReader(brc)
-	baseFl := baseCodec.NewReader(m.baseCr)
-	m.closers = append(m.closers, baseFl)
-
-	drc, err := store.OpenShard(si.RefEpoch, si.Rank)
-	if err != nil {
-		m.close()
-		return nil, err
-	}
-	m.closers = append(m.closers, drc)
-	m.deltaCr = newCountReader(drc)
-	deltaFl := deltaCodec.NewReader(m.deltaCr)
-	m.closers = append(m.closers, deltaFl)
-	m.dRaw = newCountReader(deltaFl)
-	dbr := bufio.NewReader(m.dRaw)
-
-	magic := make([]byte, len(shardDeltaMagic))
-	if _, err := io.ReadFull(dbr, magic); err != nil {
-		return m, fmt.Errorf("reading delta header: %w", err)
-	}
-	if !bytes.Equal(magic, shardDeltaMagic) {
-		return m, fmt.Errorf("delta stream has bad magic %q", magic)
-	}
-	var hdr shardDeltaHeader
-	if err := gob.NewDecoder(newCappedMessageReader(dbr, si.DeltaRawSize)).Decode(&hdr); err != nil {
-		return m, fmt.Errorf("decoding delta header: %w", err)
-	}
-	if hdr.Rank != si.Rank || hdr.BaseEpoch != si.BaseEpoch || hdr.PageSize != si.PageSize ||
-		hdr.RawSize != si.RawSize || len(hdr.Pages) != len(si.DeltaPages) {
-		return m, fmt.Errorf("delta header disagrees with the manifest (rank %d, base epoch %d, page size %d, raw %d, %d dirty pages)",
-			hdr.Rank, hdr.BaseEpoch, hdr.PageSize, hdr.RawSize, len(hdr.Pages))
-	}
-	m.merged = newCountReader(newDeltaMergeReader(baseFl, dbr, si))
-	return m, nil
-}
-
-func (m *deltaMerge) close() {
-	for i := len(m.closers) - 1; i >= 0; i-- {
-		m.closers[i].Close()
-	}
-}
-
-// finish drains both raw streams, then both stored objects (trailing
-// garbage is corruption, exactly as in the single-object decode path),
-// and settles the verdict against decErr, the caller's decode result.
-func (m *deltaMerge) finish(decErr error) error {
-	si, bi := m.si, m.bi
-	if decErr == nil && (m.merged.n != si.RawSize || m.merged.h.Sum64() != si.RawSum) {
-		decErr = fmt.Errorf("merged stream does not match the manifest identity (got %d bytes sum %#x, want %d bytes sum %#x)",
-			m.merged.n, m.merged.h.Sum64(), si.RawSize, si.RawSum)
-	}
-	if _, err := io.Copy(io.Discard, m.dRaw); err != nil && decErr == nil {
-		decErr = fmt.Errorf("decompressing delta shard: %w", err)
-	}
-	if _, err := io.Copy(io.Discard, m.deltaCr); err != nil && decErr == nil {
-		decErr = fmt.Errorf("reading delta shard: %w", err)
-	}
-	if _, err := io.Copy(io.Discard, m.baseCr); err != nil && decErr == nil {
-		decErr = fmt.Errorf("reading base shard: %w", err)
-	}
-	if got := m.deltaCr.h.Sum64(); got != si.Checksum {
-		return fmt.Errorf("shard corrupted (checksum %x, want %x)", got, si.Checksum)
-	}
-	if got := m.baseCr.h.Sum64(); got != bi.Checksum {
-		return fmt.Errorf("base shard in epoch %d corrupted (checksum %x, want %x)", si.BaseEpoch, got, bi.Checksum)
-	}
-	if decErr != nil {
-		return decErr
-	}
-	if m.deltaCr.n != si.Size || m.dRaw.n != si.DeltaRawSize || m.dRaw.h.Sum64() != si.DeltaRawSum {
-		return fmt.Errorf("delta stream does not match the manifest (stored %d bytes, raw %d sum %#x; want %d, raw %d sum %#x)",
-			m.deltaCr.n, m.dRaw.n, m.dRaw.h.Sum64(), si.Size, si.DeltaRawSize, si.DeltaRawSum)
-	}
-	return nil
-}
-
-// loadShardDelta reconstructs one RawFormatPageDelta shard's rank image by
-// streaming the base+delta merge straight into the shard decoder — one-page
-// merge memory, nothing shard-sized buffered.
-func loadShardDelta(store Store, si *ShardInfo) (*RankImage, error) {
-	m, err := openDeltaMerge(store, si)
-	if m != nil {
-		defer m.close()
-	}
-	if err != nil {
-		return nil, err
-	}
-	// The bufio layer reads ahead of the header's gob decoder but stays on
-	// this side of the merged counter, so the drained count is exact.
-	ri, decErr := readShardRaw(bufio.NewReader(m.merged), si.RawSize)
-	if decErr == nil {
-		if _, err := io.Copy(io.Discard, m.merged); err != nil {
-			decErr = fmt.Errorf("merging pages: %w", err)
-		}
-	}
-	if err := m.finish(decErr); err != nil {
-		return nil, err
-	}
-	return ri, nil
-}
-
 // ExtractRankFromStore decodes a single rank's image from one store epoch:
 // only that rank's manifest entry is resolved (through the reference chain)
 // and only its shard is fetched and decompressed — the cheap single-rank
@@ -1726,16 +1399,13 @@ func ExtractRankFromStore(store Store, epoch, rank int) (*RankImage, error) {
 		if si.Rank != rank {
 			continue
 		}
-		if si.RefEpoch != man.Epoch || si.RawFormat == RawFormatPageDelta || si.RawFormat == RawFormatCDC {
+		if si.RefEpoch != man.Epoch || si.RawFormat == RawFormatCDC {
 			sealed, err := sealedSet(store)
 			if err != nil {
 				return nil, err
 			}
 			if si.RefEpoch != man.Epoch && !sealed[si.RefEpoch] {
 				return nil, unsealedRefErr(man, si)
-			}
-			if si.RawFormat == RawFormatPageDelta && !sealed[si.BaseEpoch] {
-				return nil, unsealedBaseErr(man, si)
 			}
 			if e := unsealedChunkSrc(si, man.Epoch, sealed); e >= 0 {
 				return nil, unsealedChunkErr(man, si, e)
@@ -1767,34 +1437,15 @@ func ReadSetOf(man *Manifest) []netmodel.EpochRead {
 		}
 		r.Shards++
 		switch {
-		case man.PaddedBytesPerRank > 0 && si.RawFormat == RawFormatPageDelta:
-			// A delta object holds only the dirty fraction; padding it back
-			// up to a whole shard would erase exactly the read-cost win the
-			// format exists for. The base shard is charged separately below.
-			r.Bytes += man.PaddedBytesPerRank * int64(len(si.DeltaPages)) / pagesOf(si.RawSize, si.PageSize)
 		case man.PaddedBytesPerRank > 0 && si.RawFormat == RawFormatCDC && si.RawSize > 0:
-			// Same pro-rata rule for CDC objects: the object holds only the
-			// fresh chunk bytes. Reused chunks' sources are charged below.
+			// A CDC object holds only the fresh chunk bytes; padding it back
+			// up to a whole shard would erase exactly the read-cost win the
+			// format exists for. Reused chunks' sources are charged below.
 			r.Bytes += man.PaddedBytesPerRank * cdcFreshLen(si) / si.RawSize
 		case man.PaddedBytesPerRank > 0:
 			r.Bytes += man.PaddedBytesPerRank
 		default:
 			r.Bytes += si.Size
-		}
-		if si.RawFormat == RawFormatPageDelta {
-			// Restart also reads the full base shard the delta reconstructs
-			// against — a second fan-in, priced on its own epoch.
-			b := byEpoch[si.BaseEpoch]
-			if b == nil {
-				b = &netmodel.EpochRead{Epoch: si.BaseEpoch}
-				byEpoch[si.BaseEpoch] = b
-			}
-			b.Shards++
-			if man.PaddedBytesPerRank > 0 {
-				b.Bytes += man.PaddedBytesPerRank
-			} else {
-				b.Bytes += si.BaseSize
-			}
 		}
 		if si.RawFormat == RawFormatCDC {
 			// Restart also reads every distinct source object reused chunks
@@ -1915,13 +1566,6 @@ func VerifyStore(store Store) ([]StoreFault, error) {
 				faults = append(faults, StoreFault{
 					Epoch: e, Rank: si.Rank, RefEpoch: si.RefEpoch,
 					Err: fmt.Errorf("references epoch %d, which is not sealed in the store", si.RefEpoch),
-				})
-				continue
-			}
-			if si.RawFormat == RawFormatPageDelta && !sealed[si.BaseEpoch] {
-				faults = append(faults, StoreFault{
-					Epoch: e, Rank: si.Rank, RefEpoch: si.BaseEpoch,
-					Err: fmt.Errorf("delta-references base epoch %d, which is not sealed in the store", si.BaseEpoch),
 				})
 				continue
 			}

@@ -630,7 +630,8 @@ func TestResolveReadSetMatchesManifest(t *testing.T) {
 
 // TestCommitStreamedBudgetBounded: commits succeed under an arbitrarily
 // tight budget (a single stream always fits), and the budget's high-water
-// mark never exceeds its capacity.
+// mark never exceeds its capacity — for whole shards and for a CDC epoch
+// that writes chunk objects.
 func TestCommitStreamedBudgetBounded(t *testing.T) {
 	for name, capBytes := range map[string]int64{
 		"tight":    1, // below one stream's footprint: degrades to serial
@@ -662,6 +663,39 @@ func TestCommitStreamedBudgetBounded(t *testing.T) {
 				t.Fatal(err)
 			}
 			sameImages(t, img, got)
+
+			cdc0 := cdcImage(4, 13)
+			csums0, err := HashCaptureCDC(cdc0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cman0, _, err := CommitStreamed(store, 1, nil, cdc0, csums0, budget)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cdc1 := cdcImage(4, 13)
+			for r := range cdc1.Images {
+				cdc1.Images[r].App = insertAt(cdc1.Images[r].App, 1<<19, noisyBytes(40, uint64(r)))
+			}
+			csums1, err := HashCaptureCDC(cdc1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			budget.TakePeak()
+			_, cst, err := CommitStreamed(store, 2, cman0, cdc1, csums1, budget)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cst.CDCShards != 4 {
+				t.Fatalf("cdc commit stats: %+v", cst)
+			}
+			if peak := budget.TakePeak(); peak <= 0 || peak > budget.Cap() {
+				t.Fatalf("cdc peak %d outside (0, %d]", peak, budget.Cap())
+			}
+			if got, err = LoadJobImage(store, 2); err != nil {
+				t.Fatal(err)
+			}
+			sameImages(t, cdc1, got)
 		})
 	}
 }

@@ -1,14 +1,18 @@
 package conformance
 
-// Content-defined-chunking conformance: with CkptPlan.CDC on, an
-// insertion-shifted chain must (a) actually store changed shards as CDC
-// chunk objects, (b) keep reusing chunks where page deltas collapse — an
-// insertion shifts every later byte, so page-granular diffing dirties almost
-// the whole trailing shard while content boundaries realign one chunk past
-// the edit, (c) restart digest-identical from EVERY sealed epoch (chunk
-// objects reassemble through their source epochs), (d) keep the streaming
-// encoder's peak within the budget, (e) survive chain compaction, and
-// (f) fail attributably when a shard a reused chunk points into is damaged.
+// Content-defined-chunking conformance: with CkptPlan.CDC on, a chain must
+// (a) actually store changed shards as CDC chunk objects, (b) write fewer
+// fresh bytes per capture than the same chain with whole-shard reuse only,
+// (c) restart digest-identical from EVERY sealed epoch (chunk objects
+// reassemble through their source epochs), and (d) keep the streaming
+// encoder's peak within the budget. It runs on two straggler shapes:
+// in-place churn, where each capture period rewrites a few elements of a
+// multi-chunk state, and insertion shifts, where every byte after the edit
+// moves — a fixed page grid would see the whole trailing shard dirty, while
+// content boundaries realign one chunk past the edit. The insertion leg
+// must also (e) store under half the whole-shard bytes, (f) survive chain
+// compaction, and (g) fail attributably when a shard a reused chunk points
+// into is damaged.
 
 import (
 	"fmt"
@@ -21,45 +25,75 @@ import (
 	"mana/internal/rt"
 )
 
-// CDCChainReport summarizes a verified content-defined-chunk chain, for
-// callers that report (ccverify).
-type CDCChainReport struct {
+// CDCLegReport summarizes one verified chain shape.
+type CDCLegReport struct {
 	Epochs       int
 	CDCShards    int   // fresh shards stored as CDC chunk objects, chain total
 	FreshShards  int   // all fresh shards (chunk objects included), chain total
 	FreshBytes   int64 // fresh compressed bytes of the CDC chain
-	DeltaFreshB  int64 // fresh compressed bytes of the same chain with page deltas
+	WholeFreshB  int64 // fresh compressed bytes of the same chain with whole-shard reuse only
 	StreamBudget int64
 	StreamPeak   int64
 }
 
-func (r *CDCChainReport) String() string {
-	return fmt.Sprintf("%d epochs, %d/%d fresh shards as cdc chunk objects, %d fresh bytes vs %d with page deltas; peak encode %d B under a %d B budget",
-		r.Epochs, r.CDCShards, r.FreshShards, r.FreshBytes, r.DeltaFreshB,
+func (r *CDCLegReport) String() string {
+	return fmt.Sprintf("%d epochs, %d/%d fresh shards as cdc chunk objects, %d fresh bytes vs %d whole-shard; peak encode %d B under a %d B budget",
+		r.Epochs, r.CDCShards, r.FreshShards, r.FreshBytes, r.WholeFreshB,
 		r.StreamPeak, r.StreamBudget)
+}
+
+// CDCChainReport summarizes a verified content-defined-chunk sweep, for
+// callers that report (ccverify).
+type CDCChainReport struct {
+	InPlace, Insertion CDCLegReport
+}
+
+func (r *CDCChainReport) String() string {
+	return fmt.Sprintf("in-place: %s; insertion: %s", &r.InPlace, &r.Insertion)
+}
+
+// inPlaceStragglerConfig is the in-place chunk-scale straggler shape: hot
+// ranks carry a bulk state of several target-size chunks while each step's
+// churn overwrites only a few elements in place, so successive captures
+// dirty the header chunk plus the chunk or two the churn window crossed.
+// (The registered straggler keeps shards under one chunk, where the differ
+// correctly re-anchors to full shards and no chunk object is ever stored.)
+func inPlaceStragglerConfig(ranks int) apps.StragglerConfig {
+	cfg := apps.StragglerConfig{
+		HotRanks:  2,
+		ColdSteps: 4,
+		HotIters:  60,
+		// Cold ranks: 64 KiB of frozen state (exact reuse after warmup).
+		StateElems: 8 << 10,
+		// Hot ranks: 512 KiB of bulk state; the step loop overwrites 64 B
+		// per iteration.
+		HotStateElems: 64 << 10,
+	}
+	if cfg.HotRanks >= ranks {
+		cfg.HotRanks = 1
+	}
+	return cfg
 }
 
 // CDCStragglerConfig is the insertion-shifted chunk-scale straggler shape
 // shared by the conformance leg and BenchmarkCDCCheckpoint: hot ranks carry
 // a multi-chunk bulk state and periodically INSERT an element at an interior
-// position, shifting every later byte of the fixed-width snapshot. Page
-// deltas lose almost the whole trailing shard to the shift; content-defined
-// chunks realign right after the edit.
+// position, shifting every later byte of the fixed-width snapshot. Whole
+// shards and any fixed page grid lose almost the whole trailing shard to the
+// shift; content-defined chunks realign right after the edit.
 func CDCStragglerConfig(ranks int) apps.StragglerConfig {
 	cfg := apps.StragglerConfig{
 		HotRanks:  2,
 		ColdSteps: 4,
 		HotIters:  60,
-		// Cold ranks: one page of frozen state (exact whole-shard reuse).
-		StateElems: 8 << 10, // 64 KiB
+		// Cold ranks: 64 KiB of frozen state (exact whole-shard reuse).
+		StateElems: 8 << 10,
 		// Hot ranks: ~2 MiB of bulk state — a few dozen target-size chunks,
 		// so a single insertion's damage (one or two chunks) is a small
 		// fraction of the shard.
 		HotStateElems: 256 << 10, // 2 MiB
 		// Insert every iteration so EVERY capture period contains at least
-		// one shift, whatever cadence the checkpoint plan realizes: page
-		// deltas then re-anchor to full shards every capture while chunk
-		// reuse holds.
+		// one shift, whatever cadence the checkpoint plan realizes.
 		InsertEvery: 1,
 	}
 	if cfg.HotRanks >= ranks {
@@ -68,111 +102,32 @@ func CDCStragglerConfig(ranks int) apps.StragglerConfig {
 	return cfg
 }
 
-func cdcFactory(ranks int) func(int) rt.App {
-	cfg := CDCStragglerConfig(ranks)
+func stragglerFactory(cfg apps.StragglerConfig) func(int) rt.App {
 	return func(rank int) rt.App { return apps.NewStraggler(cfg, rank) }
 }
 
 // VerifyCDCChain runs the content-defined-chunking conformance sweep for one
-// algorithm on the insertion-shifted straggler workload.
+// algorithm on the in-place and insertion-shifted straggler shapes.
 func VerifyCDCChain(algo string, opts Options) (*CDCChainReport, error) {
 	o := opts.withDefaults()
 	if err := notRunnable(DefaultChainWorkload, algo); err != nil {
 		return nil, err
 	}
-	const minEpochs = 3
-	factory := cdcFactory(o.Ranks)
-
-	// Golden reference: the same program uninterrupted.
-	goldenRep, err := rt.Run(baseConfig(&o, algo), factory)
-	if err != nil {
-		return nil, fmt.Errorf("cdc golden run: %w", err)
-	}
-	if !goldenRep.Completed || goldenRep.StateDigest == "" {
-		return nil, fmt.Errorf("cdc golden run produced no digest")
-	}
-
 	tmp, err := os.MkdirTemp("", "ckpt-cdc-*")
 	if err != nil {
 		return nil, err
 	}
 	defer os.RemoveAll(tmp)
 
-	// Baseline: the same insertion-shifted chain with page deltas — the diff
-	// strategy the shift defeats.
-	const streamBudget = int64(8) << 20
-	deltaRep, _, err := runChain(&o, algo, goldenRep, factory, tmp+"/delta", minEpochs, true, true, true, false, netmodel.TierPFS, streamBudget)
-	if err != nil {
+	rpt := &CDCChainReport{}
+	if _, _, err := verifyCDCLeg(&o, algo, "in-place", tmp, stragglerFactory(inPlaceStragglerConfig(o.Ranks)),
+		int64(4)<<20, 1, &rpt.InPlace); err != nil {
 		return nil, err
 	}
-	// Under test: the same pipeline with content-defined chunking.
-	cdcRep, cdcFS, err := runChain(&o, algo, goldenRep, factory, tmp+"/cdc", minEpochs, true, true, false, true, netmodel.TierPFS, streamBudget)
+	factory := stragglerFactory(CDCStragglerConfig(o.Ranks))
+	golden, cdcFS, err := verifyCDCLeg(&o, algo, "insertion", tmp, factory, int64(8)<<20, 2, &rpt.Insertion)
 	if err != nil {
 		return nil, err
-	}
-	for _, rep := range []*rt.Report{deltaRep, cdcRep} {
-		if rep.StateDigest != goldenRep.StateDigest {
-			return nil, fmt.Errorf("cdc-leg chained run diverged from golden: %.12s != %.12s",
-				rep.StateDigest, goldenRep.StateDigest)
-		}
-	}
-
-	rpt := &CDCChainReport{StreamBudget: streamBudget}
-	for _, st := range deltaRep.CheckpointHistory {
-		rpt.DeltaFreshB += st.FreshBytes
-		if st.CDCShards != 0 {
-			return nil, fmt.Errorf("delta chain reported %d cdc shards", st.CDCShards)
-		}
-	}
-	for _, st := range cdcRep.CheckpointHistory {
-		rpt.FreshShards += st.FreshShards
-		rpt.CDCShards += st.CDCShards
-		rpt.FreshBytes += st.FreshBytes
-		if st.CDCBytes > st.FreshBytes {
-			return nil, fmt.Errorf("cdc bytes %d exceed fresh bytes %d (must be a subset)",
-				st.CDCBytes, st.FreshBytes)
-		}
-		if st.DeltaShards != 0 {
-			return nil, fmt.Errorf("cdc chain reported %d page-delta shards", st.DeltaShards)
-		}
-		if st.PeakEncodeBytes > streamBudget {
-			return nil, fmt.Errorf("cdc capture's encode peak %d exceeds the %d budget",
-				st.PeakEncodeBytes, streamBudget)
-		}
-		if st.PeakEncodeBytes > rpt.StreamPeak {
-			rpt.StreamPeak = st.PeakEncodeBytes
-		}
-	}
-	if len(cdcRep.CheckpointHistory) < minEpochs || len(deltaRep.CheckpointHistory) < minEpochs {
-		return nil, fmt.Errorf("only %d cdc / %d delta chained captures (want >= %d)",
-			len(cdcRep.CheckpointHistory), len(deltaRep.CheckpointHistory), minEpochs)
-	}
-	if rpt.CDCShards == 0 {
-		return nil, fmt.Errorf("insertion-shifted chain stored no cdc chunk objects (%d fresh shards)", rpt.FreshShards)
-	}
-	// The shift is the whole point: page-delta reuse must collapse (almost
-	// every trailing page dirties) while chunk reuse holds. Compare MEAN
-	// fresh bytes per capture (capture counts may drift between the runs).
-	meanDelta := float64(rpt.DeltaFreshB) / float64(len(deltaRep.CheckpointHistory))
-	meanCDC := float64(rpt.FreshBytes) / float64(len(cdcRep.CheckpointHistory))
-	if meanCDC*2 > meanDelta {
-		return nil, fmt.Errorf("cdc wrote %.0f fresh bytes per capture, not under half of page-delta %.0f under the insertion shift",
-			meanCDC, meanDelta)
-	}
-	o.Logf("cdc chain: %d chunk-object shards, %.0f fresh B/capture vs %.0f with page deltas", rpt.CDCShards, meanCDC, meanDelta)
-
-	// Every sealed epoch must restart into the golden state: a chunk object
-	// reassembles through its source epochs byte-identically.
-	n, err := restartEverySealed(&o, algo, "straggler/cdc", cdcFS, goldenRep.StateDigest, factory)
-	if err != nil {
-		return nil, err
-	}
-	rpt.Epochs = n
-	if n < minEpochs {
-		return nil, fmt.Errorf("only %d sealed cdc epochs (want >= %d)", n, minEpochs)
-	}
-	if faults, err := ckpt.VerifyStore(cdcFS); err != nil || len(faults) != 0 {
-		return nil, fmt.Errorf("pristine cdc chain did not verify: faults=%v err=%v", faults, err)
 	}
 
 	// Compaction must flatten the chunk chain into a self-contained epoch
@@ -191,9 +146,9 @@ func VerifyCDCChain(algo string, opts Options) (*CDCChainReport, error) {
 		if err != nil {
 			return nil, fmt.Errorf("restart from compacted cdc epoch %d: %w", newMan.Epoch, err)
 		}
-		if rep.StateDigest != goldenRep.StateDigest {
+		if rep.StateDigest != golden {
 			return nil, fmt.Errorf("compacted cdc epoch %d diverged: digest %.12s != golden %.12s",
-				newMan.Epoch, rep.StateDigest, goldenRep.StateDigest)
+				newMan.Epoch, rep.StateDigest, golden)
 		}
 		o.Logf("cdc chain compacted into epoch %d: digest ok", newMan.Epoch)
 	}
@@ -205,6 +160,93 @@ func VerifyCDCChain(algo string, opts Options) (*CDCChainReport, error) {
 		return nil, err
 	}
 	return rpt, nil
+}
+
+// verifyCDCLeg runs one chain shape twice — whole-shard reuse, then CDC —
+// and checks (a)–(d) into rpt: the CDC chain's mean fresh bytes per capture
+// times minShrink must stay under the whole-shard chain's. It returns the
+// golden digest and the CDC chain's store.
+func verifyCDCLeg(o *Options, algo, shape, tmp string, factory func(int) rt.App,
+	streamBudget int64, minShrink float64, rpt *CDCLegReport) (string, *ckpt.FileStore, error) {
+	const minEpochs = 3
+	label := "cdc " + shape
+	goldenRep, err := rt.Run(baseConfig(o, algo), factory)
+	if err != nil {
+		return "", nil, fmt.Errorf("%s golden run: %w", label, err)
+	}
+	if !goldenRep.Completed || goldenRep.StateDigest == "" {
+		return "", nil, fmt.Errorf("%s golden run produced no digest", label)
+	}
+
+	wholeRep, _, err := runChain(o, algo, goldenRep, factory, tmp+"/"+shape+"-whole", minEpochs, true, true, false, netmodel.TierPFS, streamBudget)
+	if err != nil {
+		return "", nil, err
+	}
+	cdcRep, cdcFS, err := runChain(o, algo, goldenRep, factory, tmp+"/"+shape+"-cdc", minEpochs, true, true, true, netmodel.TierPFS, streamBudget)
+	if err != nil {
+		return "", nil, err
+	}
+	for _, rep := range []*rt.Report{wholeRep, cdcRep} {
+		if rep.StateDigest != goldenRep.StateDigest {
+			return "", nil, fmt.Errorf("%s chained run diverged from golden: %.12s != %.12s",
+				label, rep.StateDigest, goldenRep.StateDigest)
+		}
+	}
+
+	rpt.StreamBudget = streamBudget
+	for _, st := range wholeRep.CheckpointHistory {
+		rpt.WholeFreshB += st.FreshBytes
+		if st.CDCShards != 0 {
+			return "", nil, fmt.Errorf("%s: whole-shard chain reported %d cdc shards", label, st.CDCShards)
+		}
+	}
+	for _, st := range cdcRep.CheckpointHistory {
+		rpt.FreshShards += st.FreshShards
+		rpt.CDCShards += st.CDCShards
+		rpt.FreshBytes += st.FreshBytes
+		if st.CDCBytes > st.FreshBytes {
+			return "", nil, fmt.Errorf("%s: cdc bytes %d exceed fresh bytes %d (must be a subset)",
+				label, st.CDCBytes, st.FreshBytes)
+		}
+		if st.PeakEncodeBytes > streamBudget {
+			return "", nil, fmt.Errorf("%s: capture's encode peak %d exceeds the %d budget",
+				label, st.PeakEncodeBytes, streamBudget)
+		}
+		if st.PeakEncodeBytes > rpt.StreamPeak {
+			rpt.StreamPeak = st.PeakEncodeBytes
+		}
+	}
+	if len(cdcRep.CheckpointHistory) < minEpochs || len(wholeRep.CheckpointHistory) < minEpochs {
+		return "", nil, fmt.Errorf("%s: only %d cdc / %d whole-shard chained captures (want >= %d)",
+			label, len(cdcRep.CheckpointHistory), len(wholeRep.CheckpointHistory), minEpochs)
+	}
+	if rpt.CDCShards == 0 {
+		return "", nil, fmt.Errorf("%s chain stored no cdc chunk objects (%d fresh shards)", label, rpt.FreshShards)
+	}
+	// Compare MEAN fresh bytes per capture (capture counts may drift between
+	// the runs).
+	meanWhole := float64(rpt.WholeFreshB) / float64(len(wholeRep.CheckpointHistory))
+	meanCDC := float64(rpt.FreshBytes) / float64(len(cdcRep.CheckpointHistory))
+	if meanCDC*minShrink >= meanWhole {
+		return "", nil, fmt.Errorf("%s: cdc wrote %.0f fresh bytes per capture, not under 1/%g of whole-shard %.0f",
+			label, meanCDC, minShrink, meanWhole)
+	}
+	o.Logf("%s chain: %d chunk-object shards, %.0f fresh B/capture vs %.0f whole-shard", label, rpt.CDCShards, meanCDC, meanWhole)
+
+	// Every sealed epoch must restart into the golden state: a chunk object
+	// reassembles through its source epochs byte-identically.
+	n, err := restartEverySealed(o, algo, "straggler/"+label, cdcFS, goldenRep.StateDigest, factory)
+	if err != nil {
+		return "", nil, err
+	}
+	rpt.Epochs = n
+	if n < minEpochs {
+		return "", nil, fmt.Errorf("%s: only %d sealed epochs (want >= %d)", label, n, minEpochs)
+	}
+	if faults, err := ckpt.VerifyStore(cdcFS); err != nil || len(faults) != 0 {
+		return "", nil, fmt.Errorf("pristine %s chain did not verify: faults=%v err=%v", label, faults, err)
+	}
+	return goldenRep.StateDigest, cdcFS, nil
 }
 
 // verifyCDCSourceCorruptionAttributed corrupts the stored object a reused

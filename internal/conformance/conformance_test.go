@@ -204,22 +204,23 @@ func TestIncrementalChain(t *testing.T) {
 	}
 }
 
-// TestDeltaChain: the page-delta conformance sweep — a page-scale straggler
-// chain with Delta on must store some fresh shards as page deltas, write
-// fewer fresh bytes per capture than whole-shard reuse, restart
-// digest-identical from every sealed epoch, stay within the encode budget,
-// and attribute corruption of a delta's base shard.
-func TestDeltaChain(t *testing.T) {
-	rpt, err := VerifyDeltaChain(rt.AlgoCC, Options{Logf: t.Logf})
+// TestCDCChain: the content-defined-chunking conformance sweep — in-place
+// and insertion-shifted straggler chains with CDC on must store some fresh
+// shards as chunk objects, write fewer fresh bytes per capture than
+// whole-shard reuse, restart digest-identical from every sealed epoch, stay
+// within the encode budget, survive compaction, and attribute corruption of
+// a chunk source.
+func TestCDCChain(t *testing.T) {
+	rpt, err := VerifyCDCChain(rt.AlgoCC, Options{Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("delta chain: %s", rpt)
-	if rpt.DeltaShards == 0 {
-		t.Fatal("delta chain stored no page deltas")
+	t.Logf("cdc chain: %s", rpt)
+	if rpt.InPlace.CDCShards == 0 || rpt.Insertion.CDCShards == 0 {
+		t.Fatal("cdc chain stored no chunk objects")
 	}
 	if !testing.Short() {
-		if _, err := VerifyDeltaChain(rt.Algo2PC, Options{Logf: t.Logf}); err != nil {
+		if _, err := VerifyCDCChain(rt.Algo2PC, Options{Logf: t.Logf}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -58,7 +58,7 @@ type App interface {
 // its state directly into a writer. When implemented, the runtime's capture
 // path prefers it over Snapshot — the image buffer is filled in one pass
 // instead of build-then-copy. SnapshotTo MUST produce exactly the bytes
-// Snapshot would return: shard identity (and page-delta diffing against the
+// Snapshot would return: shard identity (and CDC chunking against the
 // previous epoch) hashes the serialized stream, and the runtime's final
 // job digest still uses Snapshot.
 type StreamSnapshotter interface {

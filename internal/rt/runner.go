@@ -63,18 +63,12 @@ type CkptPlan struct {
 	// whose state did not change since the previous committed capture are
 	// recorded as references instead of re-written. Requires Store.
 	Incremental bool
-	// Delta enables sub-rank page deltas on top of Incremental: capture
-	// hashing keeps a per-page CRC table, and a rank whose shard changed in
-	// only a few 64 KiB pages is stored as a page-delta object holding just
-	// the dirty pages (ckpt.RawFormatPageDelta) against the chain's full
-	// base shard. Requires Store (defaulted like Incremental).
-	Delta bool
-	// CDC enables content-defined chunking on top of Incremental: capture
+	// CDC enables content-defined chunking and implies Incremental: capture
 	// hashing splits each rank's stream on Gear rolling-hash boundaries,
 	// and a changed rank stores only content-new chunks as a chunk object
 	// (ckpt.RawFormatCDC) referencing the chain's existing chunks — reuse
 	// survives insertions, deletions, and cross-rank duplication. Requires
-	// Store (defaulted like Incremental); mutually exclusive with Delta.
+	// Store (defaulted like Incremental).
 	CDC bool
 	// Codec overrides the stored-object codec for every committed shard:
 	// "flate" (default) or "none" (identity passthrough, no compression
@@ -250,7 +244,6 @@ func newCoordinator(w *mpi.World, plan *CkptPlan) (*ckpt.Coordinator, error) {
 		coord.CaptureWorkers = plan.CaptureWorkers
 		coord.Async = plan.Async
 		coord.Incremental = plan.Incremental
-		coord.Delta = plan.Delta
 		coord.CDC = plan.CDC
 		coord.Codec = plan.Codec
 		coord.Tier = plan.Tier
@@ -263,7 +256,7 @@ func newCoordinator(w *mpi.World, plan *CkptPlan) (*ckpt.Coordinator, error) {
 		coord.FallbackWaitVT = plan.FallbackWaitVT
 		coord.AdmitBacklogBytes = plan.AdmitBacklogBytes
 		store := plan.Store
-		if store == nil && (plan.Incremental || plan.Delta || plan.CDC || plan.KeepEpochs > 0 || plan.CompactEvery > 0) {
+		if store == nil && (plan.Incremental || plan.CDC || plan.KeepEpochs > 0 || plan.CompactEvery > 0) {
 			// Incremental reuse needs epochs to diff against (and the
 			// lifecycle policies need epochs to manage); default to an
 			// in-memory store when the plan names none.

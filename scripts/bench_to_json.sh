@@ -22,7 +22,7 @@ benchtime=${2:-1x}
 suite=${3:-encode}
 
 case "$suite" in
-  encode)     default_regex='BenchmarkStreamingCheckpoint|BenchmarkPageDeltaCheckpoint|BenchmarkCDCCheckpoint' ;;
+  encode)     default_regex='BenchmarkStreamingCheckpoint|BenchmarkCDCCheckpoint' ;;
   contention) default_regex='BenchmarkContention' ;;
   *)          default_regex='' ;;
 esac
