@@ -223,6 +223,11 @@ type shardJSON struct {
 	// RawFormat distinguishes gob (0), chunked (1), and content-defined
 	// chunk (3) stored objects.
 	RawFormat int `json:"raw_format,omitempty"`
+	// Hash names the identity hash behind checksum and raw_sum ("fnv1a" or
+	// "xxh64"; one chain may mix both), Codec the stored object's codec
+	// ("flate" or "none"). Store shards only.
+	Hash  string `json:"hash,omitempty"`
+	Codec string `json:"codec,omitempty"`
 }
 
 type epochJSON struct {
@@ -327,6 +332,8 @@ func storeInfoJSON(store *ckpt.FileStore, path string) error {
 				RefEpoch: &ref, ClockVT: si.ClockVT,
 				RawSum:    fmt.Sprintf("%016x", si.RawSum),
 				RawFormat: si.RawFormat,
+				Hash:      ckpt.HashName(si.HashID),
+				Codec:     ckpt.CodecName(si.CodecID),
 			}
 			ej.Shards = append(ej.Shards, sj)
 			if si.RefEpoch == man.Epoch {

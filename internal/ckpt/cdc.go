@@ -17,9 +17,9 @@ package ckpt
 //	chunk-index order
 //
 // The manifest entry carries the FULL chunk table (ShardInfo.Chunks): per
-// chunk its length, CRC-32C, FNV-1a content hash, and the (SrcEpoch,
-// SrcRank, SrcOff) address of its bytes inside a physically stored object's
-// decompressed stream. Fresh chunks point into this object (header offset +
+// chunk its length, CRC-32C, content hash under the entry's HashID, and the
+// (SrcEpoch, SrcRank, SrcOff) address of its bytes inside a physically
+// stored object's decompressed stream. Fresh chunks point into this object (header offset +
 // cumulative fresh lengths); reused chunks copy their source address
 // verbatim from the parent table, so chains never deepen — restart resolves
 // every chunk in one hop, opening each distinct source object once and
@@ -35,6 +35,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"hash"
 	"hash/crc32"
 	"io"
 	"sort"
@@ -74,26 +75,10 @@ var gearTable = func() (t [256]uint64) {
 	return t
 }()
 
-// FNV-1a constants for the incremental per-chunk content hash (identical to
-// hash/fnv's 64a, inlined so the chunker updates span-wise without an
-// interface call per byte).
-const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
-)
-
 // crcTable is the Castagnoli polynomial table behind every chunk CRC-32C
-// (hardware-accelerated in the stdlib, so the per-chunk check costs a
-// fraction of another FNV pass).
+// (hardware-accelerated in the stdlib, so the per-chunk check is cheap next
+// to the identity hash).
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
-
-func fnvUpdate(h uint64, p []byte) uint64 {
-	for _, b := range p {
-		h ^= uint64(b)
-		h *= fnvPrime64
-	}
-	return h
-}
 
 // RawChunk is one content-defined chunk of a logical stream as the chunker
 // reports it: pure content identity, no storage address yet. Offsets are
@@ -101,7 +86,7 @@ func fnvUpdate(h uint64, p []byte) uint64 {
 type RawChunk struct {
 	Len int64
 	CRC uint32 // CRC-32C (Castagnoli) of the chunk bytes
-	Sum uint64 // FNV-1a of the chunk bytes — the content-address key
+	Sum uint64 // identity hash of the chunk bytes — the content-address key
 }
 
 // ChunkRef is a manifest chunk-table entry (ShardInfo.Chunks): a RawChunk
@@ -121,8 +106,9 @@ type ChunkRef struct {
 }
 
 // chunkKey is the content-address index key. All three identity fields
-// participate: a 64-bit FNV collision alone must not alias two different
-// chunks into one stored object.
+// participate: a 64-bit hash collision alone must not alias two different
+// chunks into one stored object. Keys are only comparable within one
+// identity hash, so the index holds writeHashID entries only.
 type chunkKey struct {
 	sum uint64
 	len int64
@@ -142,22 +128,24 @@ type chunkSummer struct {
 	dst    io.Writer
 	chunks []RawChunk
 	gear   uint64
-	clen   int64  // bytes accumulated into the current chunk
-	crc    uint32 // running CRC-32C of the current chunk
-	fsum   uint64 // running FNV-1a of the current chunk
+	clen   int64       // bytes accumulated into the current chunk
+	crc    uint32      // running CRC-32C of the current chunk
+	sum    hash.Hash64 // running identity hash (writeHashID) of the current chunk
 }
 
 func newChunkSummer(dst io.Writer) *chunkSummer {
-	return &chunkSummer{dst: dst, fsum: fnvOffset64}
+	return &chunkSummer{dst: dst, sum: newWriteHash()}
 }
 
 func (s *chunkSummer) seal(span []byte, total int64) {
+	s.sum.Write(span)
 	s.chunks = append(s.chunks, RawChunk{
 		Len: total,
 		CRC: crc32.Update(s.crc, crcTable, span),
-		Sum: fnvUpdate(s.fsum, span),
+		Sum: s.sum.Sum64(),
 	})
-	s.crc, s.fsum = 0, fnvOffset64
+	s.crc = 0
+	s.sum.Reset()
 }
 
 func (s *chunkSummer) Write(p []byte) (int, error) {
@@ -175,7 +163,7 @@ func (s *chunkSummer) Write(p []byte) (int, error) {
 	if start < len(p) {
 		span := p[start:]
 		s.crc = crc32.Update(s.crc, crcTable, span)
-		s.fsum = fnvUpdate(s.fsum, span)
+		s.sum.Write(span)
 	}
 	if s.dst != nil {
 		return s.dst.Write(p)
@@ -187,8 +175,8 @@ func (s *chunkSummer) Write(p []byte) (int, error) {
 // must not be written to afterwards.
 func (s *chunkSummer) finish() []RawChunk {
 	if s.clen > 0 {
-		s.chunks = append(s.chunks, RawChunk{Len: s.clen, CRC: s.crc, Sum: s.fsum})
-		s.crc, s.fsum, s.clen = 0, fnvOffset64, 0
+		s.seal(nil, s.clen)
+		s.clen = 0
 	}
 	return s.chunks
 }
@@ -213,7 +201,7 @@ func gearCandidates(data []byte) []int64 {
 // chunk table over the same logical stream, in the same single pass.
 func hashShardClocklessCDC(ri *RankImage) (sum uint64, size int64, chunks []RawChunk, err error) {
 	cs := newChunkSummer(nil)
-	cw := newCountWriter(cs)
+	cw := newCountWriter(cs, newWriteHash())
 	if err := writeShardRaw(cw, ri, true); err != nil {
 		return 0, 0, nil, err
 	}
@@ -317,12 +305,12 @@ type ShardCDCWriter struct {
 	headerLen int64
 }
 
-// ShardCDCSummary reports the three identities of a stored CDC object: the
-// logical stream it reproduces (RawSize/RawSum), the stored stream between
-// codec and object (DeltaRawSize/DeltaRawSum), and the object itself
-// (Size/Checksum) — plus HeaderLen, the stored-stream offset where the
-// fresh chunk payloads begin (what fresh ChunkRef.SrcOff values are
-// computed from).
+// ShardCDCSummary reports the three identities (all writeHashID) of a
+// stored CDC object: the logical stream it reproduces (RawSize/RawSum), the
+// stored stream between codec and object (DeltaRawSize/DeltaRawSum), and
+// the object itself (Size/Checksum) — plus HeaderLen, the stored-stream
+// offset where the fresh chunk payloads begin (what fresh ChunkRef.SrcOff
+// values are computed from).
 type ShardCDCSummary struct {
 	Size         int64
 	Checksum     uint64
@@ -336,13 +324,13 @@ type ShardCDCSummary struct {
 func NewShardCDCWriter(rank int, dst io.WriteCloser, codec Codec, hdr shardCDCHeader) (*ShardCDCWriter, error) {
 	w := &ShardCDCWriter{rank: rank, dst: dst}
 	w.chunk = newChunkWriter(dst)
-	w.comp = newCountWriter(w.chunk)
+	w.comp = newCountWriter(w.chunk, newWriteHash())
 	cw, err := codec.NewWriter(w.comp)
 	if err != nil {
 		return nil, fmt.Errorf("ckpt: rank %d cdc codec: %w", rank, err)
 	}
 	w.cw = cw
-	w.dRaw = newCountWriter(cw)
+	w.dRaw = newCountWriter(cw, newWriteHash())
 	if _, err := w.dRaw.Write(shardCDCMagic); err != nil {
 		return nil, fmt.Errorf("ckpt: rank %d cdc magic: %w", rank, err)
 	}
@@ -350,7 +338,7 @@ func NewShardCDCWriter(rank int, dst io.WriteCloser, codec Codec, hdr shardCDCHe
 		return nil, fmt.Errorf("ckpt: rank %d cdc header: %w", rank, err)
 	}
 	w.headerLen = w.dRaw.n
-	w.raw = newCountWriter(newCDCFilterWriter(w.dRaw, hdr.Chunks, hdr.Fresh))
+	w.raw = newCountWriter(newCDCFilterWriter(w.dRaw, hdr.Chunks, hdr.Fresh), newWriteHash())
 	return w, nil
 }
 
@@ -472,6 +460,10 @@ func openCDCMerge(store Store, si *ShardInfo) (*cdcMerge, error) {
 	if err != nil {
 		return nil, err
 	}
+	newHash, err := hashFactory(si.HashID)
+	if err != nil {
+		return nil, err
+	}
 	m := &cdcMerge{store: store, si: si,
 		sources: make(map[[2]int]*cdcSource), mans: make(map[int]*Manifest)}
 	rc, err := store.OpenShard(si.RefEpoch, si.Rank)
@@ -479,10 +471,10 @@ func openCDCMerge(store Store, si *ShardInfo) (*cdcMerge, error) {
 		return nil, err
 	}
 	m.closers = append(m.closers, rc)
-	m.objCr = newCountReader(rc)
+	m.objCr = newCountReader(rc, newHash())
 	dec := codec.NewReader(m.objCr)
 	m.closers = append(m.closers, dec)
-	m.dRaw = newCountReader(dec)
+	m.dRaw = newCountReader(dec, newHash())
 	dbr := bufio.NewReader(m.dRaw)
 
 	magic := make([]byte, len(shardCDCMagic))
@@ -525,7 +517,7 @@ func openCDCMerge(store Store, si *ShardInfo) (*cdcMerge, error) {
 			maxLen = si.Chunks[k].Len
 		}
 	}
-	m.merged = newCountReader(&cdcMergeReader{m: m, payload: dbr, buf: make([]byte, maxLen)})
+	m.merged = newCountReader(&cdcMergeReader{m: m, payload: dbr, buf: make([]byte, maxLen)}, newHash())
 	return m, nil
 }
 
@@ -560,12 +552,17 @@ func (m *cdcMerge) openSource(s *cdcSource) error {
 	if err != nil {
 		return err
 	}
+	// The source verifies against its own entry, under its own hash.
+	newHash, err := hashFactory(s.bi.HashID)
+	if err != nil {
+		return err
+	}
 	rc, err := m.store.OpenShard(s.epoch, s.rank)
 	if err != nil {
 		return fmt.Errorf("opening chunk source shard in epoch %d: %w", s.epoch, err)
 	}
 	s.rc = rc
-	s.cr = newCountReader(rc)
+	s.cr = newCountReader(rc, newHash())
 	s.dec = codec.NewReader(s.cr)
 	s.pos = 0
 	s.opened++

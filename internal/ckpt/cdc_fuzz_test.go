@@ -5,7 +5,7 @@ package ckpt
 // target checks the invariants that make dedup work on every input:
 //
 //   - the chunk table tiles the stream exactly and every per-chunk CRC-32C /
-//     FNV identity matches the bytes it covers (so concatenating the chunks
+//     identity-hash sum matches the bytes it covers (so concatenating the chunks
 //     reproduces the stream byte-identically);
 //   - size bounds hold (interior chunks in [min, max], all chunks <= max);
 //   - chunks wholly before the edit are byte-for-byte unchanged (the gear
@@ -58,7 +58,7 @@ func checkTableTiles(t *testing.T, data []byte, chunks []RawChunk) []int64 {
 		if got := crc32.Checksum(span, crcTable); got != c.CRC {
 			t.Fatalf("chunk %d crc %08x, table says %08x", k, got, c.CRC)
 		}
-		if got := fnvUpdate(fnvOffset64, span); got != c.Sum {
+		if got := sumWith(t, writeHashID, span); got != c.Sum {
 			t.Fatalf("chunk %d sum %x, table says %x", k, got, c.Sum)
 		}
 		off += c.Len

@@ -83,7 +83,7 @@ func insertAt(b []byte, off int, extra []byte) []byte {
 
 // TestChunkTableInvariants: the chunk table produced by the streaming
 // chunker covers the raw stream exactly, respects the size bounds, and
-// records per-chunk CRC/FNV identities that match the bytes.
+// records per-chunk CRC and identity-hash sums that match the bytes.
 func TestChunkTableInvariants(t *testing.T) {
 	img := cdcImage(1, 7)
 	ri := &img.Images[0]
@@ -121,9 +121,7 @@ func TestChunkTableInvariants(t *testing.T) {
 		if got := crc32.Checksum(span, crcTable); got != c.CRC {
 			t.Fatalf("chunk %d crc %08x, table says %08x", k, got, c.CRC)
 		}
-		h := uint64(fnvOffset64)
-		h = fnvUpdate(h, span)
-		if h != c.Sum {
+		if h := sumWith(t, writeHashID, span); h != c.Sum {
 			t.Fatalf("chunk %d sum %x, table says %x", k, h, c.Sum)
 		}
 		off += c.Len

@@ -26,8 +26,8 @@ const (
 	// CodecFlate: compress/flate at the level the writer was opened with.
 	CodecFlate = 0
 	// CodecNone: the identity passthrough — stored bytes ARE the raw
-	// stream. The integrity story is unchanged (the stored-object FNV and
-	// the raw identity just coincide); only the CPU spent on flate goes
+	// stream. The integrity story is unchanged (the stored-object checksum
+	// and the raw identity just coincide); only the CPU spent on flate goes
 	// away.
 	CodecNone = 1
 )
@@ -121,6 +121,14 @@ func CodecByName(name string, flateLevel int) (Codec, error) {
 		return NoneCodec(), nil
 	}
 	return nil, fmt.Errorf("ckpt: unknown codec %q (want flate or none)", name)
+}
+
+// CodecName spells a persisted CodecID for tools ("flate", "none").
+func CodecName(id int) string {
+	if c, err := codecByID(id); err == nil {
+		return c.Name()
+	}
+	return fmt.Sprintf("unknown(%d)", id)
 }
 
 // codecByID resolves a manifest's persisted codec discriminator for decode.

@@ -8,6 +8,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -137,6 +138,10 @@ func TestHostileManifestsError(t *testing.T) {
 		"absurd raw size": mutate(func(m *Manifest) { m.Shards[1].RawSize = 1 << 50 }),
 		// Raw format 2 (page deltas) is retired: no reader exists for it.
 		"retired page delta": mutate(func(m *Manifest) { m.Shards[1].RawFormat = RawFormatPageDelta }),
+		// A flipped bit in HashID must not select a hash: an unknown id is
+		// rejected, and blob images are FNV-1a only.
+		"unknown identity hash":  mutate(func(m *Manifest) { m.Shards[1].HashID = 1 << 3 }),
+		"blob shard under xxh64": mutate(func(m *Manifest) { m.Shards[2].HashID = HashXXH64 }),
 	}
 	for name, blob := range cases {
 		decodeErrored, verifyDetected := decodeAll(t, blob)
@@ -270,5 +275,19 @@ func TestManifestRecordRoundTrip(t *testing.T) {
 	}
 	if _, err := DecodeManifestRecord(rec2); err == nil {
 		t.Fatal("future-epoch reference accepted")
+	}
+	// Store records name each entry's identity hash; an unknown id fails
+	// decode with a diagnostic instead of selecting a hash.
+	for _, id := range []int{-1, HashXXH64 + 1} {
+		evil.Shards[0].RefEpoch = 1
+		evil.Shards[1].HashID = id
+		rec3, err := EncodeManifestRecord(&evil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := DecodeManifestRecord(rec3); err == nil ||
+			!strings.Contains(err.Error(), fmt.Sprintf("rank 1 shard declares unknown identity hash %d", id)) {
+			t.Fatalf("hash id %d: %v", id, err)
+		}
 	}
 }

@@ -66,7 +66,7 @@ type ShardInfo struct {
 	Offset   int64  // into the shard data section (after the manifest); 0 in stores
 	Size     int64  // compressed shard bytes
 	RawSize  int64  // gob bytes before compression
-	Checksum uint64 // FNV-1a over the compressed shard blob
+	Checksum uint64 // identity hash (HashID) over the compressed shard blob
 
 	// RefEpoch is the store epoch whose shard data holds this rank's bytes.
 	// Equal to the manifest's own Epoch for freshly written shards; an
@@ -81,9 +81,9 @@ type ShardInfo struct {
 	// blob is what makes shard reuse possible. Restart re-applies it from
 	// here.
 	ClockVT float64
-	// RawSum is the FNV-1a checksum of the raw (pre-compression, clock-
-	// zeroed) shard stream — the identity the incremental differ compares
-	// against the previous epoch.
+	// RawSum is the identity hash (HashID) of the raw (pre-compression,
+	// clock-zeroed) shard stream — the identity the incremental differ
+	// compares against the previous epoch.
 	RawSum uint64
 	// RawFormat selects the raw shard stream's layout (store shards only):
 	// RawFormatGob for legacy whole-gob shards, RawFormatChunked for the
@@ -95,14 +95,14 @@ type ShardInfo struct {
 
 	// DeltaRawSize/DeltaRawSum are a RawFormatCDC object's stored stream
 	// (magic + header + fresh chunk payloads): its raw (pre-compression)
-	// length and FNV-1a — what Size/Checksum compress. RawSum and RawSize
-	// ALWAYS describe the LOGICAL chunked stream the differ keys on, never
-	// the stored object.
+	// length and identity hash — what Size/Checksum compress. RawSum and
+	// RawSize ALWAYS describe the LOGICAL chunked stream the differ keys on,
+	// never the stored object.
 	DeltaRawSize int64
 	DeltaRawSum  uint64
 
 	// Chunks is the content-defined chunk table of the LOGICAL stream (CDC
-	// mode, cdc.go): per chunk its length, CRC-32C, FNV-1a content hash, and
+	// mode, cdc.go): per chunk its length, CRC-32C, identity content hash, and
 	// the physical object its bytes live in. Present on every shard
 	// committed with CDC on (full chunked shards carry a self-sourced table
 	// so later epochs can reuse their chunks); required when RawFormat ==
@@ -112,6 +112,12 @@ type ShardInfo struct {
 	// The zero value is CodecFlate, so every manifest written before codecs
 	// existed keeps meaning what it meant.
 	CodecID int
+	// HashID names the identity hash (hash.go) behind Checksum, RawSum,
+	// DeltaRawSum and every Chunks[k].Sum of this entry. The zero value is
+	// HashFNV1a, so every manifest written before the field existed keeps
+	// meaning what it meant; new shards are written with writeHashID, and
+	// reuse only ever matches entries of that same hash.
+	HashID int
 }
 
 // Raw shard stream formats (ShardInfo.RawFormat).
@@ -281,8 +287,8 @@ func putFlateWriter(level int, fw *flate.Writer) {
 // encoder's own bounded state:
 //
 //	writeShardRaw: magic + gob(small header) + payload bytes
-//	  → countWriter(raw FNV+size)
-//	  → flate.Writer → countWriter(compressed FNV+size)
+//	  → countWriter(raw identity hash+size)
+//	  → flate.Writer → countWriter(compressed identity hash+size)
 //	  → pooled chunk buffer → Store.PutShardStream
 //
 // Concurrency is bounded in BYTES, not just workers: every open ShardWriter
@@ -378,7 +384,7 @@ func (b *StreamBudget) TakePeak() int64 {
 	return p
 }
 
-// countWriter accumulates an FNV-1a checksum and byte count over everything
+// countWriter accumulates an identity hash and byte count over everything
 // written through it, forwarding to dst (nil dst discards — the hash-only
 // identity pass).
 type countWriter struct {
@@ -387,8 +393,8 @@ type countWriter struct {
 	n   int64
 }
 
-func newCountWriter(dst io.Writer) *countWriter {
-	return &countWriter{dst: dst, h: fnv.New64a()}
+func newCountWriter(dst io.Writer, h hash.Hash64) *countWriter {
+	return &countWriter{dst: dst, h: h}
 }
 
 func (w *countWriter) Write(p []byte) (int, error) {
@@ -402,13 +408,18 @@ func (w *countWriter) Write(p []byte) (int, error) {
 
 // copyShardVerified streams one stored shard blob from src to dst in
 // bounded chunks, checking the copied bytes against the manifest identity
-// (stored size and FNV-1a checksum over the compressed blob). The check is
+// (stored size, and the checksum over the compressed blob under the entry's
+// identity hash). The check is
 // what makes compaction safe to follow with GC: the copy must be proven
 // byte-identical BEFORE the new epoch seals and the original becomes
 // deletable — a silently corrupt copy would otherwise turn into data loss
 // the moment the source epoch is reclaimed.
-func copyShardVerified(dst io.Writer, src io.Reader, wantSize int64, wantSum uint64) error {
-	cw := newCountWriter(dst)
+func copyShardVerified(dst io.Writer, src io.Reader, wantSize int64, wantSum uint64, hashID int) error {
+	newHash, err := hashFactory(hashID)
+	if err != nil {
+		return err
+	}
+	cw := newCountWriter(dst, newHash())
 	buf := make([]byte, shardChunkBytes)
 	if _, err := io.CopyBuffer(cw, src, buf); err != nil {
 		return err
@@ -478,9 +489,9 @@ func (w *chunkWriter) close() error {
 // the shard in memory to measure it.
 type ShardSummary struct {
 	Size     int64  // compressed bytes that reached the store
-	Checksum uint64 // FNV-1a over the compressed stream
+	Checksum uint64 // identity hash over the compressed stream
 	RawSize  int64  // raw gob bytes before compression
-	RawSum   uint64 // FNV-1a over the raw (clockless) gob
+	RawSum   uint64 // identity hash over the raw (clockless) gob
 }
 
 // ShardWriter streams one rank's shard into a store stream: the rank image
@@ -506,17 +517,23 @@ func NewShardWriter(rank int, dst io.WriteCloser) (*ShardWriter, error) {
 }
 
 // NewShardWriterCodec opens a streaming shard encoder through an explicit
-// codec.
+// codec. Its checksums are writeHashID's.
 func NewShardWriterCodec(rank int, dst io.WriteCloser, codec Codec) (*ShardWriter, error) {
+	return newShardWriter(rank, dst, codec, newWriteHash)
+}
+
+// newShardWriter opens a streaming shard encoder whose checksums come from
+// newHash (compaction re-encodes under the entry's own identity hash).
+func newShardWriter(rank int, dst io.WriteCloser, codec Codec, newHash func() hash.Hash64) (*ShardWriter, error) {
 	w := &ShardWriter{rank: rank, dst: dst}
 	w.chunk = newChunkWriter(dst)
-	w.comp = newCountWriter(w.chunk)
+	w.comp = newCountWriter(w.chunk, newHash())
 	cw, err := codec.NewWriter(w.comp)
 	if err != nil {
 		return nil, fmt.Errorf("ckpt: rank %d shard compressor: %w", rank, err)
 	}
 	w.cw = cw
-	w.raw = newCountWriter(cw)
+	w.raw = newCountWriter(cw, newHash())
 	return w, nil
 }
 
@@ -793,14 +810,14 @@ func (r *cappedMessageReader) ReadByte() (byte, error) {
 // it. The stream is byte-identical to what ShardWriter.Encode later feeds
 // the compressor, so the identities agree.
 func hashShardClockless(ri *RankImage) (sum uint64, size int64, err error) {
-	cw := newCountWriter(nil)
+	cw := newCountWriter(nil, newWriteHash())
 	if err := writeShardRaw(cw, ri, true); err != nil {
 		return 0, 0, err
 	}
 	return cw.h.Sum64(), cw.n, nil
 }
 
-// countReader accumulates an FNV-1a checksum and byte count over everything
+// countReader accumulates an identity hash and byte count over everything
 // read through it.
 type countReader struct {
 	src io.Reader
@@ -808,8 +825,8 @@ type countReader struct {
 	n   int64
 }
 
-func newCountReader(src io.Reader) *countReader {
-	return &countReader{src: src, h: fnv.New64a()}
+func newCountReader(src io.Reader, h hash.Hash64) *countReader {
+	return &countReader{src: src, h: h}
 }
 
 func (r *countReader) Read(p []byte) (int, error) {
@@ -842,17 +859,23 @@ func (r *tallyReader) Read(p []byte) (int, error) {
 // trailing garbage after the compressed stream is corruption, exactly as
 // it was when the blob was checksummed at rest.
 //
+// wantSum is checked under hashID, the entry's identity hash.
+//
 // A checksum mismatch wins over any decode error: corrupted bytes produce
 // arbitrary flate/gob failures, and attributing them as corruption (not as
 // a format bug) is what the torn-write diagnostics rely on.
-func decodeShardStream(src io.Reader, rawSize int64, wantSum uint64, rawFormat int, codec Codec) (*RankImage, error) {
+func decodeShardStream(src io.Reader, rawSize int64, wantSum uint64, hashID, rawFormat int, codec Codec) (*RankImage, error) {
 	if rawSize < 0 {
 		return nil, fmt.Errorf("negative raw size %d", rawSize)
 	}
 	if codec == nil {
 		codec = FlateCodec(0)
 	}
-	cr := newCountReader(src)
+	newHash, err := hashFactory(hashID)
+	if err != nil {
+		return nil, err
+	}
+	cr := newCountReader(src, newHash())
 	fr := codec.NewReader(cr)
 	defer fr.Close()
 	tr := &tallyReader{src: fr}
@@ -966,6 +989,8 @@ func decodeShard(blob []byte, rawSize int64) (*RankImage, error) {
 	return &ri, nil
 }
 
+// checksumOf is the FNV-1a checksum of the blob formats (v1/v2 images) and
+// the manifest record; store shard identities go through HashID instead.
 func checksumOf(b []byte) uint64 {
 	h := fnv.New64a()
 	h.Write(b)
@@ -1149,6 +1174,14 @@ func (man *Manifest) validate(shardDataLen int64) error {
 		}
 		if si.CodecID < CodecFlate || si.CodecID > CodecNone {
 			return fmt.Errorf("ckpt: rank %d shard declares unknown codec %d", si.Rank, si.CodecID)
+		}
+		if _, err := hashFactory(si.HashID); err != nil {
+			return fmt.Errorf("ckpt: rank %d shard declares unknown identity hash %d", si.Rank, si.HashID)
+		}
+		if man.Version < ManifestV3 && si.HashID != HashFNV1a {
+			// Blob images are checksummed with checksumOf (FNV-1a) only.
+			return fmt.Errorf("ckpt: rank %d blob-image shard declares identity hash %s (blob images are fnv1a only)",
+				si.Rank, HashName(si.HashID))
 		}
 		if si.RawFormat == RawFormatPageDelta {
 			return fmt.Errorf("ckpt: rank %d shard is a page delta (raw format 2), which is no longer readable; re-checkpoint the chain into an empty store",

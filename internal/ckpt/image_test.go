@@ -318,7 +318,7 @@ func TestShardWriterStreamsIdentically(t *testing.T) {
 			t.Fatal("shard writer did not close its store stream")
 		}
 		blob := sink.Bytes()
-		if int64(len(blob)) != sum.Size || checksumOf(blob) != sum.Checksum {
+		if int64(len(blob)) != sum.Size || sumWith(t, writeHashID, blob) != sum.Checksum {
 			t.Fatalf("rank %d: summary %+v disagrees with the %d streamed bytes", r, sum, len(blob))
 		}
 
@@ -331,7 +331,7 @@ func TestShardWriterStreamsIdentically(t *testing.T) {
 				r, sum.RawSum, sum.RawSize, wantSum, wantSize)
 		}
 
-		got, err := decodeShardStream(bytes.NewReader(blob), sum.RawSize, sum.Checksum, RawFormatChunked, nil)
+		got, err := decodeShardStream(bytes.NewReader(blob), sum.RawSize, sum.Checksum, writeHashID, RawFormatChunked, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -351,8 +351,9 @@ func TestShardWriterStreamsIdentically(t *testing.T) {
 }
 
 // TestLegacyGobShardsStillDecode: stores written before the chunked layout
-// hold whole-gob raw streams; the streaming decoder must keep reading them
-// through RawFormatGob.
+// hold whole-gob raw streams (checksummed with FNV-1a, the only identity
+// hash of that era); the streaming decoder must keep reading them through
+// RawFormatGob.
 func TestLegacyGobShardsStillDecode(t *testing.T) {
 	ri := &testJobImage(3).Images[0]
 	clockless := *ri
@@ -361,7 +362,8 @@ func TestLegacyGobShardsStillDecode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := decodeShardStream(bytes.NewReader(blob), rawSize, checksumOf(blob), RawFormatGob, nil)
+	legacySum := sumWith(t, HashFNV1a, blob)
+	got, err := decodeShardStream(bytes.NewReader(blob), rawSize, legacySum, HashFNV1a, RawFormatGob, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,10 +372,10 @@ func TestLegacyGobShardsStillDecode(t *testing.T) {
 	}
 	// The formats must not alias: chunked bytes under the gob format (and
 	// vice versa) fail as decode errors, not silent misreads.
-	if _, err := decodeShardStream(bytes.NewReader(blob), rawSize, checksumOf(blob), RawFormatChunked, nil); err == nil {
+	if _, err := decodeShardStream(bytes.NewReader(blob), rawSize, legacySum, HashFNV1a, RawFormatChunked, nil); err == nil {
 		t.Fatal("gob bytes decoded under the chunked format")
 	}
-	if _, err := decodeShardStream(bytes.NewReader(blob), rawSize, checksumOf(blob), RawFormatChunked+1, nil); err == nil ||
+	if _, err := decodeShardStream(bytes.NewReader(blob), rawSize, legacySum, HashFNV1a, RawFormatChunked+1, nil); err == nil ||
 		!strings.Contains(err.Error(), "unsupported raw shard format") {
 		t.Fatalf("unknown format not rejected: %v", err)
 	}
@@ -427,7 +429,7 @@ func TestDecodeShardStreamRejects(t *testing.T) {
 	for name, tc := range cases {
 		t.Run(name, func(t *testing.T) {
 			b := tc.mutate(append([]byte(nil), blob...))
-			_, err := decodeShardStream(bytes.NewReader(b), tc.rawSize, sum.Checksum, RawFormatChunked, nil)
+			_, err := decodeShardStream(bytes.NewReader(b), tc.rawSize, sum.Checksum, writeHashID, RawFormatChunked, nil)
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("error %v does not mention %q", err, tc.want)
 			}
@@ -509,7 +511,7 @@ func TestHostileShardHeadersErrorCleanly(t *testing.T) {
 			t.Fatal(err)
 		}
 		blob := compress(raw.Bytes())
-		_, err := decodeShardStream(bytes.NewReader(blob), int64(raw.Len()), checksumOf(blob), RawFormatChunked, nil)
+		_, err := decodeShardStream(bytes.NewReader(blob), int64(raw.Len()), sumWith(t, writeHashID, blob), writeHashID, RawFormatChunked, nil)
 		if err == nil || !strings.Contains(err.Error(), "payloads beyond") {
 			t.Fatalf("overflowing header not rejected: %v", err)
 		}
@@ -520,7 +522,7 @@ func TestHostileShardHeadersErrorCleanly(t *testing.T) {
 		// the capped reader must refuse before gob allocates it.
 		raw := []byte{0xF8, 0x7F, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF} // -8 ext bytes: ~2^63
 		blob := compress(raw)
-		_, err := decodeShardStream(bytes.NewReader(blob), int64(len(raw)), checksumOf(blob), RawFormatGob, nil)
+		_, err := decodeShardStream(bytes.NewReader(blob), int64(len(raw)), sumWith(t, writeHashID, blob), writeHashID, RawFormatGob, nil)
 		if err == nil || !strings.Contains(err.Error(), "exceeds") {
 			t.Fatalf("absurd gob message length not rejected: %v", err)
 		}
@@ -537,10 +539,10 @@ func TestHostileShardHeadersErrorCleanly(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := checksumOf(blob)
+		want := sumWith(t, HashFNV1a, blob)
 		mut := append([]byte(nil), blob...)
 		mut[len(mut)/3] ^= 0x10
-		_, err = decodeShardStream(bytes.NewReader(mut), rawSize, want, RawFormatGob, nil)
+		_, err = decodeShardStream(bytes.NewReader(mut), rawSize, want, HashFNV1a, RawFormatGob, nil)
 		if err == nil || !strings.Contains(err.Error(), "corrupted") {
 			t.Fatalf("bit rot not reported as corruption: %v", err)
 		}

@@ -185,9 +185,9 @@ func GCStore(store Store, keep int) (*GCStats, error) {
 // The copy is verbatim at the stored-blob level (size and checksum are
 // checked against the manifest before the new epoch seals), so the restart
 // image — and its digest — is bit-identical to restarting from the source
-// epoch. Raw identities (RawSum/RawSize) are carried over unchanged, which
-// keeps incremental reuse working when the coordinator re-roots a running
-// chain onto the compacted epoch.
+// epoch. Raw identities (RawSum/RawSize) and the HashID they were computed
+// with are carried over unchanged, which keeps incremental reuse working
+// when the coordinator re-roots a running chain onto the compacted epoch.
 //
 // budget bounds the copy fan-out's in-flight memory exactly as it bounds
 // the commit stage's (nil selects the default capacity). An epoch that is
@@ -264,7 +264,7 @@ func CompactChain(store Store, epoch int, budget *StreamBudget) (*Manifest, *Com
 				if err != nil {
 					return err
 				}
-				if err := copyShardVerified(dst, src, si.Size, si.Checksum); err != nil {
+				if err := copyShardVerified(dst, src, si.Size, si.Checksum, si.HashID); err != nil {
 					//lint:allow closecheck copy already failed; dst is abandoned and the copy error surfaces
 					dst.Close()
 					return fmt.Errorf("ckpt: compacting epoch %d rank %d (shard stored in epoch %d): %w",
@@ -313,8 +313,9 @@ func CompactChain(store Store, epoch int, budget *StreamBudget) (*Manifest, *Com
 // CRC-checked) and the merged logical stream recompresses directly into the
 // new object — nothing shard-sized is ever held. On success si is mutated
 // in place into the full shard's entry: RawFormatChunked, new Size/Checksum,
-// stored-stream identity cleared. The chunk table keeps its content hashes;
-// CompactChain remaps it to self-source from the new object.
+// stored-stream identity cleared. The new object is checksummed under the
+// entry's own HashID, so its RawSum and chunk table keep their content
+// hashes; CompactChain remaps the table to self-source from the new object.
 func flattenCDCShard(store Store, newEpoch int, si *ShardInfo) error {
 	m, err := openCDCMerge(store, si)
 	if m != nil {
@@ -327,11 +328,15 @@ func flattenCDCShard(store Store, newEpoch int, si *ShardInfo) error {
 	if err != nil {
 		return err
 	}
+	newHash, err := hashFactory(si.HashID)
+	if err != nil {
+		return err
+	}
 	dst, err := store.PutShardStream(newEpoch, si.Rank)
 	if err != nil {
 		return err
 	}
-	sw, err := NewShardWriterCodec(si.Rank, dst, codec)
+	sw, err := newShardWriter(si.Rank, dst, codec, newHash)
 	if err != nil {
 		//lint:allow closecheck shard-writer setup failed; dst is abandoned and the setup error surfaces
 		dst.Close()

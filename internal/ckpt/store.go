@@ -904,8 +904,8 @@ func CommitCapture(store Store, epoch int, parent *Manifest, img *JobImage) (*Ma
 }
 
 // ShardSums holds stage 2a's output: every rank's clockless shard identity
-// (raw gob size and FNV-1a hash), computed by streaming each gob through a
-// counter — no raw bytes are retained. It depends only on the image — not
+// (raw gob size and writeHashID hash), computed by streaming each gob
+// through a counter — no raw bytes are retained. It depends only on the image — not
 // on the parent manifest — so the coordinator computes it BEFORE taking the
 // epoch-ordering ticket, letting concurrent background commits hash in
 // parallel instead of queueing their CPU work behind the previous epoch.
@@ -937,9 +937,9 @@ func HashCapture(img *JobImage) (*ShardSums, error) {
 }
 
 // HashCaptureCDC records each rank's content-defined chunk table over the
-// same single streaming pass as the FNV identity (the gear hash and chunk
-// CRCs ride the FNV stream — no second walk), arming CommitStreamed's
-// content-addressed chunk diff.
+// same single streaming pass as the stream identity (the gear hash, chunk
+// CRCs and chunk sums ride the identity stream — no second walk), arming
+// CommitStreamed's content-addressed chunk diff.
 func HashCaptureCDC(img *JobImage) (*ShardSums, error) {
 	n := len(img.Images)
 	sums := &ShardSums{
@@ -995,10 +995,16 @@ func CommitStreamed(store Store, epoch int, parent *Manifest, img *JobImage, sum
 	// source address — built from the parent manifest's tables alone, no
 	// object reads. Cross-rank entries are included deliberately: duplicate
 	// state between ranks dedups exactly like duplicate state across time.
+	// Only entries under writeHashID qualify — a chunk sum is meaningless
+	// against another hash's — so a chain inherited from an older hash
+	// re-writes once and dedups again from the next epoch on.
 	var chunkIndex map[chunkKey]ChunkRef
 	if cdcMode && parent != nil {
 		chunkIndex = make(map[chunkKey]ChunkRef)
 		for i := range parent.Shards {
+			if parent.Shards[i].HashID != writeHashID {
+				continue
+			}
 			for _, c := range parent.Shards[i].Chunks {
 				if _, ok := chunkIndex[keyOfRef(&c)]; !ok {
 					chunkIndex[keyOfRef(&c)] = c
@@ -1040,15 +1046,18 @@ func CommitStreamed(store Store, epoch int, parent *Manifest, img *JobImage, sum
 			RefEpoch:  epoch,
 			RawFormat: RawFormatChunked,
 			CodecID:   codec.ID(), // fresh shards; the reuse case overrides
+			HashID:    writeHashID,
 		}
 		p := parentByRank[ri.Rank]
 		switch {
-		// Reuse keys on the raw identity, which includes the layout: a
-		// legacy-format parent shard never hashes equal to a chunked one, so
-		// a chain resumed from an old store re-writes (not mis-references)
-		// its first capture. The reused entry copies the parent's format so
-		// decode follows the bytes that actually exist.
-		case p != nil && p.RawSum == sums.Sums[i] && p.RawSize == sums.Sizes[i]:
+		// Reuse keys on the raw identity, which includes the layout and the
+		// identity hash: a legacy-format parent shard never hashes equal to
+		// a chunked one, and a parent sum under another hash is not
+		// comparable at all, so a chain resumed from an old store re-writes
+		// (not mis-references) its first capture. The reused entry copies
+		// the parent's format so decode follows the bytes that actually
+		// exist.
+		case p != nil && p.HashID == writeHashID && p.RawSum == sums.Sums[i] && p.RawSize == sums.Sizes[i]:
 			// Unchanged since the parent capture: reference the bytes where
 			// they already live instead of rewriting them. (A rank whose
 			// every chunk is unchanged is exactly this case: identical
@@ -1369,7 +1378,7 @@ func loadShard(store Store, man *Manifest, si *ShardInfo) (*RankImage, error) {
 			return nil, fmt.Errorf("ckpt: %s: %w", at, err)
 		}
 		defer rc.Close()
-		ri, err = decodeShardStream(rc, si.RawSize, si.Checksum, si.RawFormat, codec)
+		ri, err = decodeShardStream(rc, si.RawSize, si.Checksum, si.HashID, si.RawFormat, codec)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("ckpt: %s: %w", at, err)
@@ -1533,16 +1542,17 @@ type StoreFault struct {
 // A physical shard referenced by many epochs — the norm on the low-churn
 // chains incremental checkpointing targets — is fetched and decoded once:
 // later epochs whose manifest entry carries the identical (ref-epoch, rank,
-// checksum, raw size) tuple reuse the verdict instead of re-reading it.
+// identity hash, checksum, raw size) tuple reuse the verdict instead of
+// re-reading it.
 func VerifyStore(store Store) ([]StoreFault, error) {
 	epochs, err := store.Epochs()
 	if err != nil {
 		return nil, err
 	}
 	type shardID struct {
-		epoch, rank int
-		sum         uint64
-		rawSize     int64
+		epoch, rank, hashID int
+		sum                 uint64
+		rawSize             int64
 	}
 	verified := make(map[shardID]bool)
 	sealed := make(map[int]bool, len(epochs))
@@ -1576,7 +1586,7 @@ func VerifyStore(store Store) ([]StoreFault, error) {
 				})
 				continue
 			}
-			if !verified[shardID{si.RefEpoch, si.Rank, si.Checksum, si.RawSize}] {
+			if !verified[shardID{si.RefEpoch, si.Rank, si.HashID, si.Checksum, si.RawSize}] {
 				todo = append(todo, i)
 			}
 		}
@@ -1592,7 +1602,7 @@ func VerifyStore(store Store) ([]StoreFault, error) {
 				})
 				continue
 			}
-			verified[shardID{si.RefEpoch, si.Rank, si.Checksum, si.RawSize}] = true
+			verified[shardID{si.RefEpoch, si.Rank, si.HashID, si.Checksum, si.RawSize}] = true
 		}
 	}
 	return faults, nil

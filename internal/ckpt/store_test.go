@@ -459,14 +459,17 @@ func TestStreamingCommitMatchesBlobPath(t *testing.T) {
 				if int64(len(blob)) != si.Size {
 					t.Fatalf("rank %d: stored %d bytes, manifest says %d", si.Rank, len(blob), si.Size)
 				}
-				if got := checksumOf(blob); got != si.Checksum {
+				if si.HashID != writeHashID {
+					t.Fatalf("rank %d: fresh shard written under hash %d, want %d", si.Rank, si.HashID, writeHashID)
+				}
+				if got := sumWith(t, si.HashID, blob); got != si.Checksum {
 					t.Fatalf("rank %d: stored checksum %x, manifest says %x", si.Rank, got, si.Checksum)
 				}
 				if si.RawFormat != RawFormatChunked {
 					t.Fatalf("rank %d: fresh shard written in format %d", si.Rank, si.RawFormat)
 				}
 				// The blob adapters and the stream read the same bytes.
-				ri, err := decodeShardStream(bytes.NewReader(blob), si.RawSize, si.Checksum, si.RawFormat, nil)
+				ri, err := decodeShardStream(bytes.NewReader(blob), si.RawSize, si.Checksum, si.HashID, si.RawFormat, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
